@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "obs/span.hpp"
 #include "par/par.hpp"
 #include "plan/plan.hpp"
 #include "precond/diagonal.hpp"
 #include "simd/block3.hpp"
-#include "sparse/vector_ops.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -23,7 +22,7 @@ constexpr int kHaloTag = 7;
 /// First half of the halo exchange: post this rank's boundary values to every
 /// neighbour. Sends complete on return (buffered), so computation can proceed
 /// while the messages are delivered.
-void halo_post_sends(Comm& comm, const part::LocalSystem& ls, const std::vector<double>& v,
+void halo_post_sends(Comm& comm, const part::LocalSystem& ls, std::span<const double> v,
                      std::vector<double>& sendbuf) {
   for (const auto& link : ls.links) {
     sendbuf.clear();
@@ -36,7 +35,7 @@ void halo_post_sends(Comm& comm, const part::LocalSystem& ls, const std::vector<
 
 /// Second half: receive every neighbour's boundary values into the external
 /// slots of `v` (paper Fig 4 communication tables).
-void halo_complete(Comm& comm, const part::LocalSystem& ls, std::vector<double>& v) {
+void halo_complete(Comm& comm, const part::LocalSystem& ls, std::span<double> v) {
   for (const auto& link : ls.links) {
     const std::vector<double> msg = comm.recv(link.domain, kHaloTag);
     GEOFEM_CHECK(msg.size() == link.recv_local.size() * 3, "halo message size mismatch");
@@ -49,7 +48,7 @@ void halo_complete(Comm& comm, const part::LocalSystem& ls, std::vector<double>&
 
 /// Blocking halo exchange (the non-overlapped matvec path). The per-link
 /// message sequence is identical to the overlapped path: send all, recv all.
-void halo_exchange(Comm& comm, const part::LocalSystem& ls, std::vector<double>& v,
+void halo_exchange(Comm& comm, const part::LocalSystem& ls, std::span<double> v,
                    std::vector<double>& sendbuf) {
   halo_post_sends(comm, ls, v, sendbuf);
   halo_complete(comm, ls, v);
@@ -63,7 +62,7 @@ void halo_exchange(Comm& comm, const part::LocalSystem& ls, std::vector<double>&
 /// every SIMD configuration.
 template <class Acc>
 void spmv_rows_impl(const part::LocalSystem& ls, const std::vector<int>& rows,
-                    const std::vector<double>& v, std::vector<double>& y) {
+                    std::span<const double> v, std::span<double> y) {
   const auto& a = ls.a;
   const int team = par::threads();
   const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(rows.size());
@@ -79,7 +78,7 @@ void spmv_rows_impl(const part::LocalSystem& ls, const std::vector<int>& rows,
 }
 
 void spmv_rows(const part::LocalSystem& ls, const std::vector<int>& rows,
-               const std::vector<double>& v, std::vector<double>& y) {
+               std::span<const double> v, std::span<double> y) {
 #if GEOFEM_SIMD_HAS_AVX2
   if (simd::active() == simd::Isa::kAvx2) {
     spmv_rows_impl<simd::AvxAcc3>(ls, rows, v, y);
@@ -91,8 +90,8 @@ void spmv_rows(const part::LocalSystem& ls, const std::vector<int>& rows,
 
 /// y (internal rows) = A_local * v (all local columns).
 template <class Acc>
-void local_spmv_impl(const part::LocalSystem& ls, const std::vector<double>& v,
-                     std::vector<double>& y) {
+void local_spmv_impl(const part::LocalSystem& ls, std::span<const double> v,
+                     std::span<double> y) {
   const auto& a = ls.a;
   const int team = par::threads();
 #pragma omp parallel for schedule(static) num_threads(team) if (team > 1)
@@ -105,8 +104,8 @@ void local_spmv_impl(const part::LocalSystem& ls, const std::vector<double>& v,
   }
 }
 
-void local_spmv(const part::LocalSystem& ls, const std::vector<double>& v,
-                std::vector<double>& y, util::FlopCounter* fc) {
+void local_spmv(const part::LocalSystem& ls, std::span<const double> v, std::span<double> y,
+                util::FlopCounter* fc) {
 #if GEOFEM_SIMD_HAS_AVX2
   if (simd::active() == simd::Isa::kAvx2) {
     local_spmv_impl<simd::AvxAcc3>(ls, v, y);
@@ -141,6 +140,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
   std::vector<coarse::SetupStatus> cstats(static_cast<std::size_t>(ndom),
                                           coarse::SetupStatus::kOff);
   std::vector<int> cdims(static_cast<std::size_t>(ndom), 0);
+  std::vector<std::optional<TrafficStats>> solve_traffic(static_cast<std::size_t>(ndom));
 
   // Two-level set-up, structural half: the aggregate map is global (one
   // aggregate per domain = the owner of each global node, optionally refined
@@ -180,8 +180,6 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
   res.traffic_per_rank = Runtime::run(ndom, opt.faults, [&](Comm& comm) {
     const std::size_t rank = static_cast<std::size_t>(comm.rank());
     const part::LocalSystem& ls = systems[rank];
-    auto* fc = &res.flops_per_rank[rank];
-    auto* lp = &res.loops_per_rank[rank];
     const std::size_t ni = static_cast<std::size_t>(ls.num_internal) * 3;
     const std::size_t nl = static_cast<std::size_t>(ls.num_local()) * 3;
 
@@ -208,12 +206,11 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         rank_reg.gauge("dist.boundary_rows")->set(static_cast<double>(split.boundary.size()));
     }
 
-    // Progress state, hoisted above the try so a timeout can still report how
-    // far the rank got (iterations, last residual, recorded history).
-    int total_iters = 0;
-    double bnorm = 0.0;
-    double rnorm = 0.0;
-    std::vector<double> history;
+    // CG progress (iterations, history, counters), hoisted above the try so a
+    // timeout can still report how far the rank got. NaN marks a timeout that
+    // struck before the first residual norm.
+    solver::CGResult cg;
+    cg.relative_residual = std::numeric_limits<double>::quiet_NaN();
 
     // Everything that communicates runs under this try: once a blocking
     // operation times out (injected fault, dead neighbour), the rank records
@@ -319,16 +316,16 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           opt.telemetry ? rank_reg.span_begin("dist.solve") : std::size_t{0};
       util::Timer solve_timer;
 
-      std::vector<double> x(nl, 0.0), p(nl, 0.0), sendbuf;
-      std::vector<double> r(ni), z(ni), q(ni);
+      std::vector<double> x(nl, 0.0), sendbuf;
 
-      // One matvec: q/out = A_local * v, with the halo exchange either
+      // One matvec: out = A_local * v, with the halo exchange either
       // blocking (overlap off) or hidden behind the interior-row SpMV.
       // Interior rows read only internal columns, which the receives never
       // touch, so overlapping them with message delivery is legal; per-row
       // arithmetic and the per-link message sequence are identical either
       // way, hence bit-identical residual histories.
-      auto matvec = [&](std::vector<double>& v, std::vector<double>& out) {
+      auto matvec = [&](std::span<double> v, std::span<double> out, util::FlopCounter* fc,
+                        util::LoopStats*) {
         if (!opt.overlap) {
           halo_exchange(comm, ls, v, sendbuf);
           local_spmv(ls, v, out, fc);
@@ -358,343 +355,72 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           cmz.assign(nl, 0.0);
         }
       }
-      auto coarse_solve_global = [&](std::span<const double> fine) {
+      auto coarse_solve_global = [&](std::span<const double> fine, util::FlopCounter* fc) {
         cop->restrict_residual(fine, cyc, fc);
         const std::vector<double> gy = comm.allreduce_sum(std::span<const double>(cyc));
         std::copy(gy.begin(), gy.end(), cyc.begin());
         cop->solve(cyc, fc);
       };
-      auto apply_precond = [&](const precond::Preconditioner& m, std::vector<double>& rr,
-                               std::vector<double>& zz) {
+      const precond::Preconditioner* current = nullptr;  // the preconditioner CG runs on
+      auto apply_precond = [&](std::span<const double> rr, std::span<double> zz,
+                               util::FlopCounter* fc, util::LoopStats* lp) {
         if (!cop) {
-          m.apply(rr, zz, fc, lp);
+          current->apply(rr, zz, fc, lp);
           return;
         }
-        coarse_solve_global(rr);  // cyc = A_c^-1 R r
+        coarse_solve_global(rr, fc);  // cyc = A_c^-1 R r
         if (opt.coarse.mode == coarse::Mode::kAdditive) {
-          m.apply(rr, zz, fc, lp);
+          current->apply(rr, zz, fc, lp);
           cop->prolongate_add(cyc, zz, fc);
           return;
         }
         // Deflated (BNN): z = q + (I - QA) M^-1 (r - A q), q = Q r.
         std::fill(cq.begin(), cq.end(), 0.0);
         cop->prolongate_add(cyc, cq, fc);  // q = P yc (internal part)
-        matvec(cq, cv);                    // cv = A q
+        matvec(cq, cv, fc, lp);            // cv = A q
         for (std::size_t i = 0; i < ni; ++i) ct[i] = rr[i] - cv[i];
-        m.apply(ct, cz1, fc, lp);          // cz1 = M^-1 (r - A q)
+        current->apply(ct, cz1, fc, lp);   // cz1 = M^-1 (r - A q)
         std::copy(cz1.begin(), cz1.end(), cmz.begin());
-        matvec(cmz, cv);                   // cv = A cz1
-        coarse_solve_global(cv);           // cyc = A_c^-1 R A cz1
+        matvec(cmz, cv, fc, lp);           // cv = A cz1
+        coarse_solve_global(cv, fc);       // cyc = A_c^-1 R A cz1
         for (std::size_t i = 0; i < ni; ++i) zz[i] = cq[i] + cz1[i];
         for (double& v : cyc) v = -v;
         cop->prolongate_add(cyc, zz, fc);  // z -= P A_c^-1 R A cz1
         fc->blas1 += 3 * ni;
       };
 
-      // r = b (zero initial guess)
-      for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i];
-      bnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(ls.b), std::span(ls.b), fc)));
-      GEOFEM_CHECK(bnorm > 0.0, "distributed pcg: zero rhs");
-      rnorm = bnorm;
-      if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-
-      // One CG attempt against `m`, continuing from the current x/r/rnorm and
-      // drawing on the shared iteration budget. Every exit decision derives
-      // from allreduced scalars, so all ranks leave with the same status.
-      auto cg_loop = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        double rho_prev = 0.0;
-        int it = 0;
-        SolveStatus s = SolveStatus::kMaxIterations;
-        while (total_iters < cgopt.max_iterations && rnorm / bnorm > cgopt.tolerance) {
-          apply_precond(m, r, z);
-          const double rho = comm.allreduce_sum(sparse::dot(std::span(r), std::span(z), fc));
-          if (!(rho > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          if (it == 0) {
-            for (std::size_t i = 0; i < ni; ++i) p[i] = z[i];
-          } else {
-            const double beta = rho / rho_prev;
-            for (std::size_t i = 0; i < ni; ++i) p[i] = z[i] + beta * p[i];
-            fc->blas1 += 2 * ni;
-          }
-          rho_prev = rho;
-
-          matvec(p, q);
-          const double pq =
-              comm.allreduce_sum(sparse::dot(std::span(p).first(ni), std::span(q), fc));
-          if (!(pq > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          const double alpha = rho / pq;
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-          }
-          fc->blas1 += 4 * ni;
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          ++total_iters;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          if (!std::isfinite(rnorm)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          // Slot it % W holds the relative residual from W iterations ago by
-          // the time iteration `it` reads it: slots 0..W-1 are all written
-          // before the first comparison at it == W (mirrors the serial pcg).
-          if (window > 0) {
-            const double rel = rnorm / bnorm;
-            const auto slot = static_cast<std::size_t>(it % window);
-            if (it >= window && rel > 0.99 * ring[slot]) {
-              s = SolveStatus::kStagnated;
-              break;
-            }
-            ring[slot] = rel;
-          }
-          ++it;
+      // Dot-product partials: a blocking allreduce each, or one split-phase
+      // allreduce completing behind the engine's overlap window.
+      auto allreduce = [&](std::span<double> v, const std::function<void()>& overlap) {
+        if (!overlap) {
+          for (double& d : v) d = comm.allreduce_sum(d);
+          return;
         }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
+        PendingReduce h = comm.iallreduce_sum(v);
+        overlap();
+        const std::vector<double> sums = comm.wait(h);
+        std::copy(sums.begin(), sums.end(), v.begin());
       };
 
-      // Gropp's two-overlap CG: two split-phase reductions per iteration,
-      // δ = (p,s) completing behind q = M⁻¹s and the fused {γ' = (r,u),
-      // ||r||²} completing behind w = Au. Every exit decision derives from
-      // the reduced (rank-identical) values, so lockstep is preserved; the
-      // reduction chain is the same fixed-shape rank-ascending combine as the
-      // blocking allreduce, so the trajectory is bit-identical across team
-      // sizes and overlap settings.
-      auto cg_loop_gropp = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        std::vector<double> u(ni), s_(ni), w(ni), mq(ni), vnl(nl, 0.0);
-        SolveStatus s = SolveStatus::kMaxIterations;
-
-        apply_precond(m, r, u);  // u = M^-1 r
-        for (std::size_t i = 0; i < ni; ++i) p[i] = u[i];
-        matvec(p, s_);  // s = A p
-        double gamma = comm.allreduce_sum(sparse::dot(std::span(r), std::span(u), fc));
-
-        int it = 0;
-        while (total_iters < cgopt.max_iterations && rnorm / bnorm > cgopt.tolerance) {
-          if (!(gamma > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          // Reduction 1 in flight while the preconditioner runs.
-          const double dpart = sparse::dot(std::span(p).first(ni), std::span(s_), fc);
-          PendingReduce h1 = comm.iallreduce_sum(std::span<const double>(&dpart, 1));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            apply_precond(m, s_, mq);  // q = M^-1 s
-          }
-          const double delta = comm.wait(h1)[0];
-          if (!(delta > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          const double alpha = gamma / delta;
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * s_[i];
-            u[i] -= alpha * mq[i];
-          }
-          fc->blas1 += 6 * ni;
-          // Reduction 2 (fused γ', ||r||²) in flight while the SpMV runs.
-          const double fused[2] = {sparse::dot(std::span(r), std::span(u), fc),
-                                   sparse::dot(std::span(r), std::span(r), fc)};
-          PendingReduce h2 = comm.iallreduce_sum(std::span<const double>(fused, 2));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            std::copy(u.begin(), u.end(), vnl.begin());
-            matvec(vnl, w);  // w = A u
-          }
-          const std::vector<double> g = comm.wait(h2);
-          const double beta = g[0] / gamma;
-          for (std::size_t i = 0; i < ni; ++i) {
-            p[i] = u[i] + beta * p[i];
-            s_[i] = w[i] + beta * s_[i];
-          }
-          fc->blas1 += 4 * ni;
-          gamma = g[0];
-          rnorm = std::sqrt(g[1]);
-          ++total_iters;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          if (!std::isfinite(rnorm)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          if (window > 0) {
-            const double rel = rnorm / bnorm;
-            const auto slot = static_cast<std::size_t>(it % window);
-            if (it >= window && rel > 0.99 * ring[slot]) {
-              s = SolveStatus::kStagnated;
-              break;
-            }
-            ring[slot] = rel;
-          }
-          ++it;
-        }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
+      // The one CG engine (solver::CGEngine) bound to this rank: every exit
+      // decision derives from allreduced scalars, so all ranks leave each
+      // attempt with the same status, and every run draws on one shared
+      // iteration budget.
+      solver::CGEngine engine({.n = ni,
+                               .halo = nl - ni,
+                               .apply_a = matvec,
+                               .apply_m = apply_precond,
+                               .sum = allreduce},
+                              ls.b, x, cg);
+      auto run_on = [&](const precond::Preconditioner& m) {
+        current = &m;
+        engine.run(cgopt);
+        return cg.status;
       };
 
-      // Ghysels–Vanroose pipelined CG: ONE fused split-phase reduction per
-      // iteration {γ = (r,u), δ = (w,u), ||r||²}, completing behind BOTH the
-      // preconditioner application and the SpMV of the same iteration. The
-      // residual norm of iteration `it` arrives with iteration it+1's
-      // reduction, so history/stagnation probes lag one slot (mirrors the
-      // serial attempt). Four extra recurrence vectors.
-      auto cg_loop_pipelined = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        std::vector<double> u(ni), w(ni), mv(ni), nv(ni), zv(ni), qv(ni), sv(ni), pv(ni);
-        std::vector<double> vnl(nl, 0.0);
-        SolveStatus s = SolveStatus::kMaxIterations;
-
-        apply_precond(m, r, u);  // u = M^-1 r
-        std::copy(u.begin(), u.end(), vnl.begin());
-        matvec(vnl, w);  // w = A u
-
-        double gamma_prev = 0.0, alpha_prev = 0.0;
-        for (int it = 0;; ++it) {
-          const double fused[3] = {sparse::dot(std::span(r), std::span(u), fc),
-                                   sparse::dot(std::span(w), std::span(u), fc),
-                                   sparse::dot(std::span(r), std::span(r), fc)};
-          PendingReduce h = comm.iallreduce_sum(std::span<const double>(fused, 3));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            apply_precond(m, w, mv);  // m = M^-1 w
-            std::copy(mv.begin(), mv.end(), vnl.begin());
-            matvec(vnl, nv);  // n = A m
-          }
-          const std::vector<double> g = comm.wait(h);
-          const double gamma = g[0];
-          const double delta = g[1];
-          rnorm = std::sqrt(g[2]);
-          const double rel = rnorm / bnorm;
-          if (it > 0) {
-            if (cgopt.record_residuals) history.push_back(rel);
-            if (!std::isfinite(rnorm)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            if (window > 0) {
-              const auto slot = static_cast<std::size_t>((it - 1) % window);
-              if (it - 1 >= window && rel > 0.99 * ring[slot]) {
-                s = SolveStatus::kStagnated;
-                break;
-              }
-              ring[slot] = rel;
-            }
-          }
-          if (rel <= cgopt.tolerance) {
-            s = SolveStatus::kConverged;
-            break;
-          }
-          if (total_iters >= cgopt.max_iterations) break;
-          if (!(gamma > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          double alpha = 0.0, beta = 0.0;
-          if (it == 0) {
-            if (!(delta > 0.0)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            alpha = gamma / delta;
-          } else {
-            beta = gamma / gamma_prev;
-            const double denom = delta - beta * gamma / alpha_prev;
-            if (!(denom > 0.0) || !std::isfinite(denom)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            alpha = gamma / denom;
-          }
-          if (it == 0) {
-            std::copy(nv.begin(), nv.end(), zv.begin());
-            std::copy(mv.begin(), mv.end(), qv.begin());
-            std::copy(w.begin(), w.end(), sv.begin());
-            std::copy(u.begin(), u.end(), pv.begin());
-          } else {
-            for (std::size_t i = 0; i < ni; ++i) {
-              zv[i] = nv[i] + beta * zv[i];
-              qv[i] = mv[i] + beta * qv[i];
-              sv[i] = w[i] + beta * sv[i];
-              pv[i] = u[i] + beta * pv[i];
-            }
-            fc->blas1 += 8 * ni;
-          }
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * pv[i];
-            r[i] -= alpha * sv[i];
-            u[i] -= alpha * qv[i];
-            w[i] -= alpha * zv[i];
-          }
-          fc->blas1 += 8 * ni;
-          gamma_prev = gamma;
-          alpha_prev = alpha;
-          ++total_iters;
-
-          // Periodic residual replacement (mirrors the serial attempt): every
-          // rank rebuilds its recurrence vectors at the same iteration — halo
-          // exchanges and any coarse collectives inside apply_precond run in
-          // the same order everywhere, so lockstep is preserved. No global
-          // reductions are added.
-          const int replace = cgopt.pipeline_replace_interval;
-          if (replace > 0 && (it + 1) % replace == 0) {
-            matvec(x, mv);
-            for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - mv[i];
-            fc->blas1 += ni;
-            apply_precond(m, r, u);
-            std::copy(u.begin(), u.end(), vnl.begin());
-            matvec(vnl, w);
-            std::copy(pv.begin(), pv.end(), vnl.begin());
-            matvec(vnl, sv);
-            apply_precond(m, sv, qv);
-            std::copy(qv.begin(), qv.end(), vnl.begin());
-            matvec(vnl, zv);
-          }
-        }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
-      };
-
-      // One CG attempt with the configured variant. A non-classic attempt
-      // that breaks down or stagnates retries with the classic loop on the
-      // SAME preconditioner — warm restart from the recomputed true residual
-      // r = b - A x, shared budget — before any caller-level fallback sees
-      // the failure. The retry decision comes from the attempt's status,
-      // itself derived from allreduced scalars, so every rank branches
-      // together.
-      auto run_cg = [&](const precond::Preconditioner& m) -> SolveStatus {
-        SolveStatus s;
-        switch (cgopt.variant) {
-          case solver::CGVariant::kGropp: s = cg_loop_gropp(m); break;
-          case solver::CGVariant::kPipelined: s = cg_loop_pipelined(m); break;
-          default: return cg_loop(m);
-        }
-        if (s == SolveStatus::kBreakdown || s == SolveStatus::kStagnated) {
-          vfell[rank] = 1;
-          if (opt.telemetry) rank_reg.counter("dist.fallback.variant")->add(1);
-          matvec(x, q);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - q[i];
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = cg_loop(m);
-          s = ok(retried) ? SolveStatus::kFellBack : retried;
-        }
-        return s;
-      };
-
+      engine.start(solver::CGStart::kCold, cgopt);
       SolveStatus st =
-          build_failed_global ? SolveStatus::kFactorizationFailed : run_cg(*prec);
+          build_failed_global ? SolveStatus::kFactorizationFailed : run_on(*prec);
 
       if (fp32 && !ok(st)) {
         // fp32-induced stagnation/breakdown (or narrowing overflow at
@@ -703,7 +429,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         // rebuild in lockstep — and restart COLD. The cold restart is what
         // makes the recovery's residual history bit-identical to a direct
         // fp64 solve of the same system.
-        burnt_iters[rank] = total_iters;
+        burnt_iters[rank] = cg.iterations;
         // The re-set-up itself is the counted event (like the serial path):
         // it happened on every rank together whether or not the fp64 retry
         // then converges.
@@ -722,11 +448,8 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         } else {
           res.precond_bytes_per_rank[rank] = fb64->memory_bytes();
           cgopt.stagnation_window = user_window;
-          std::fill(x.begin(), x.end(), 0.0);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i];
-          rnorm = bnorm;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = run_cg(*fb64);
+          engine.start(solver::CGStart::kCold, cgopt);
+          const SolveStatus retried = run_on(*fb64);
           st = ok(retried) ? SolveStatus::kFellBack : retried;
           prec = std::move(fb64);
         }
@@ -749,7 +472,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         const auto nrungs = std::min(
             rungs.size(), static_cast<std::size_t>(std::max(opt.resilience.max_fallbacks, 0)));
         for (std::size_t rung = 0; rung < nrungs && !ok(st); ++rung) {
-          burnt_iters[rank] = total_iters;
+          burnt_iters[rank] = cg.iterations;
           precond::PreconditionerPtr fb;
           bool fb_failed = false;
           try {
@@ -765,33 +488,31 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
             continue;
           }
           res.precond_bytes_per_rank[rank] = fb->memory_bytes();
-          // r = b - A x for the warm start
-          matvec(x, q);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - q[i];
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = run_cg(*fb);
+          engine.start(solver::CGStart::kWarm, cgopt);
+          const SolveStatus retried = run_on(*fb);
           st = ok(retried) ? SolveStatus::kFellBack : retried;
           if (opt.telemetry && ok(retried)) rank_reg.counter("dist.fallback.recovered")->add(1);
         }
       }
 
       statuses[rank] = st;
-      iters[rank] = total_iters;
-      relres[rank] = rnorm / bnorm;
-      if (comm.rank() == 0) res.residual_history = std::move(history);
 
       if (opt.telemetry) {
         rank_reg.span_end(solve_span);
-        rank_reg.counter("dist.iterations")->add(static_cast<std::uint64_t>(total_iters));
+        if (cg.variant_fallbacks > 0)
+          rank_reg.counter("dist.fallback.variant")
+              ->add(static_cast<std::uint64_t>(cg.variant_fallbacks));
+        rank_reg.counter("dist.iterations")->add(static_cast<std::uint64_t>(cg.iterations));
         rank_reg.gauge("dist.setup_seconds")->set(setup_seconds[rank]);
         rank_reg.gauge("dist.solve_seconds")->set(solve_timer.seconds());
         rank_reg.gauge("dist.precond_bytes")
             ->set(static_cast<double>(res.precond_bytes_per_rank[rank]));
-        rank_reg.absorb("dist", *fc);
-        rank_reg.absorb("dist", *lp);
-        // traffic up to this point; the telemetry gather itself is not counted
-        export_traffic(comm.traffic(), rank_reg);
+        rank_reg.absorb("dist", cg.flops);
+        rank_reg.absorb("dist", cg.loops);
+        // The solve's traffic: the telemetry gather below is counted neither
+        // here nor in DistResult::traffic_per_rank.
+        solve_traffic[rank] = comm.traffic();
+        export_traffic(*solve_traffic[rank], rank_reg);
         const std::vector<double> blob = encode(rank_reg.snapshot());
         const std::vector<double> gathered = comm.gather(0, blob);
         if (comm.rank() == 0) {
@@ -811,15 +532,19 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     } catch (const Error& e) {
       if (e.code() != StatusCode::kCommTimeout) throw;
       statuses[rank] = SolveStatus::kCommTimeout;
-      // Keep whatever progress was made before the deadline hit so a timed-out
-      // run is not misread as "zero iterations, residual 0.0": NaN marks a
-      // timeout that struck before the first residual norm.
-      iters[rank] = total_iters;
-      relres[rank] = bnorm > 0.0 ? rnorm / bnorm : std::numeric_limits<double>::quiet_NaN();
-      if (comm.rank() == 0) res.residual_history = std::move(history);
     }
+    // A timed-out rank keeps whatever progress it made before the deadline,
+    // so it is not misread as "zero iterations, residual 0.0".
+    iters[rank] = cg.iterations;
+    relres[rank] = cg.relative_residual;
+    vfell[rank] = cg.variant_fallbacks > 0 ? 1 : 0;
+    res.flops_per_rank[rank] = cg.flops;
+    res.loops_per_rank[rank] = cg.loops;
+    if (comm.rank() == 0) res.residual_history = std::move(cg.residual_history);
   });
   res.solve_seconds = wall.seconds();
+  for (std::size_t d = 0; d < solve_traffic.size(); ++d)
+    if (solve_traffic[d]) res.traffic_per_rank[d] = *solve_traffic[d];
   if (opt.plan_cache) res.plan_cache = opt.plan_cache->stats();
 
   res.status_per_rank = statuses;

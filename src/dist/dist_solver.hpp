@@ -35,12 +35,16 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     resilience.chain (a PrecondKind list) is not consulted: this solver
 ///     builds preconditioners through factories, not kinds. All fallback
 ///     decisions derive from allreduced quantities (lockstep).
-///   * cg.variant — communication-hiding CG variant. kClassic keeps the three
-///     blocking allreduces per iteration; kGropp/kPipelined post split-phase
-///     reductions (Comm::iallreduce_sum) that complete behind the
-///     preconditioner application and SpMV. Breakdown/stagnation in a
-///     non-classic variant retries with kClassic on the same preconditioner
-///     (warm restart, lockstep) before any precision/preconditioner fallback.
+///   * cg — CG runs on solver::CGEngine, the engine serial pcg() uses, bound
+///     to this rank's halo-overlapped matvec, coarse-aware preconditioner and
+///     Comm's allreduces; a 1-domain run is bit-identical to pcg(). kClassic
+///     keeps the three blocking allreduces per iteration; kGropp/kPipelined
+///     post split-phase reductions (Comm::iallreduce_sum) that complete
+///     behind the preconditioner application and SpMV. Breakdown/stagnation
+///     in a non-classic variant retries with kClassic on the same
+///     preconditioner (warm restart, lockstep) before any
+///     precision/preconditioner fallback. Every attempt and rung draws on one
+///     shared cg.max_iterations budget.
 ///   * plan_cache — only snapshotted into DistResult::plan_cache; pass the
 ///     cache given to make_plan_factory (one plan per rank).
 ///   * precision — forwarded to the PrecondFactory; an fp32 attempt that
@@ -49,8 +53,9 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     history is bit-identical to a direct fp64 run.
 struct DistOptions : core::SolveOptionsBase {
   /// Collect per-rank telemetry registries and gather them to rank 0
-  /// (DistResult::obs_per_rank / obs_merged). Coarse-grained — spans wrap
-  /// set-up and the whole solve, not individual iterations.
+  /// (DistResult::obs_per_rank / obs_merged). Spans wrap set-up and the
+  /// whole solve, and inside it the CG engine's per-phase pcg.spmv /
+  /// pcg.precond / pcg.blas1 / pcg.overlap spans of every iteration.
   bool telemetry = true;
   PrecondFactory fallback_factory;
   /// Injected communication faults plus the blocking-operation deadline that
@@ -93,6 +98,7 @@ struct DistResult {
   double setup_seconds_max = 0.0;   ///< slowest rank's preconditioner set-up
   std::vector<util::FlopCounter> flops_per_rank;
   std::vector<util::LoopStats> loops_per_rank;
+  /// The solve's communication per rank; the telemetry gather is excluded.
   std::vector<TrafficStats> traffic_per_rank;
   std::vector<std::size_t> precond_bytes_per_rank;
   /// Telemetry (empty when DistOptions::telemetry is off): every rank's
@@ -118,7 +124,8 @@ struct DistResult {
 
 /// Parallel preconditioned CG over GeoFEM local systems: halo exchange on the
 /// communication tables before each matvec, purely local preconditioning,
-/// allreduce dot products (paper §2).  One simulated-MPI rank per domain.
+/// allreduce dot products (paper §2) — the serial CG engine with those three
+/// operations bound. One simulated-MPI rank per domain.
 /// If `x_global` is non-null it receives the assembled solution (size = total
 /// DOF) on exit.
 DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,

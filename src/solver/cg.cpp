@@ -19,205 +19,208 @@ std::string to_string(CGVariant v) {
   return "?";
 }
 
-namespace {
+/// Stagnation probe: slot it % W holds the relative residual from W
+/// iterations ago by the time iteration `it` reads it.
+class CGEngine::Stagnation {
+ public:
+  explicit Stagnation(int window) : ring_(window > 0 ? static_cast<std::size_t>(window) : 0) {}
 
-/// One CG attempt continuing from the current `x`, drawing on the shared
-/// budget opt.max_iterations - res.iterations and appending to
-/// res.residual_history. Each attempt recomputes its own true residual
-/// r = b - A x at entry, so a warm restart (the kClassic retry after a
-/// variant breakdown) starts from an honest residual rather than the drifted
-/// recurrence of the failed attempt. Sets res.status / res.relative_residual.
-using Attempt = void (*)(const MatVec&, const precond::Preconditioner&, std::span<const double>,
-                         std::span<double>, const CGOptions&, CGResult&, obs::Registry*);
-
-/// Textbook PCG — the body is the pre-variant solver verbatim (same spans,
-/// same operation order, same breakdown checks), so kClassic residual
-/// histories stay bit-identical to the pre-change baselines.
-void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
-                     std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                     CGResult& res, obs::Registry* reg) {
-  const std::size_t n = b.size();
-  simd::aligned_vector<double> r(n), z(n), p(n), q(n);
-  auto* fc = &res.flops;
-  auto* ls = &res.loops;
-
-  // r = b - A x
-  {
-    obs::ScopedSpan s(reg, "pcg.spmv");
-    amul(x, r, fc, ls);
+  bool operator()(int it, double rel) {
+    if (ring_.empty()) return false;
+    const auto i = static_cast<std::size_t>(it);
+    const std::size_t slot = i % ring_.size();
+    if (i >= ring_.size() && rel > 0.99 * ring_[slot]) return true;
+    ring_[slot] = rel;
+    return false;
   }
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  fc->blas1 += n;
 
-  const double bnorm = sparse::norm2(b, fc);
-  GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+ private:
+  std::vector<double> ring_;
+};
 
-  // Stagnation ring buffer: slot it % W holds the relative residual from W
-  // iterations ago by the time iteration `it` reads it.
-  const int window = opt.stagnation_window;
-  std::vector<double> stag_ring(window > 0 ? static_cast<std::size_t>(window) : 0);
+CGEngine::CGEngine(CGOps ops, std::span<const double> b, std::span<double> x, CGResult& res)
+    : ops_(std::move(ops)), b_(b), x_(x), res_(res), reg_(obs::current()), r_(ops_.n) {
+  GEOFEM_CHECK(b.size() == ops_.n && x.size() == ops_.n + ops_.halo, "pcg size mismatch");
+  bnorm_ = std::sqrt(sum_dot(b_, b_));
+  GEOFEM_CHECK(bnorm_ > 0.0, "pcg: zero right-hand side");
+}
 
-  res.status = SolveStatus::kMaxIterations;
+void CGEngine::spmv(std::span<double> v, std::span<double> out) {
+  obs::ScopedSpan s(reg_, "pcg.spmv");
+  ops_.apply_a(v, own(out), &res_.flops, &res_.loops);
+}
+
+void CGEngine::precond(std::span<const double> in, std::span<double> out) {
+  obs::ScopedSpan s(reg_, "pcg.precond");
+  ops_.apply_m(in.first(ops_.n), own(out), &res_.flops, &res_.loops);
+}
+
+void CGEngine::reduce(std::span<double> v, const std::function<void()>& overlap) {
+  if (ops_.sum) {
+    ops_.sum(v, overlap);
+  } else if (overlap) {
+    overlap();
+  }
+}
+
+double CGEngine::sum_dot(std::span<const double> a, std::span<const double> b) {
+  double d = sparse::dot(a, b, &res_.flops);
+  reduce({&d, 1});
+  return d;
+}
+
+void CGEngine::residual() {
+  spmv(x_, r_);
+  for (std::size_t i = 0; i < ops_.n; ++i) r_[i] = b_[i] - r_[i];
+  res_.flops.blas1 += ops_.n;
+}
+
+void CGEngine::start(CGStart start, const CGOptions& opt) {
+  double rnorm = bnorm_;
+  if (start == CGStart::kCold) {
+    sparse::fill(x_, 0.0);
+    sparse::copy(b_, r_);
+  } else {
+    residual();
+    rnorm = std::sqrt(sum_dot(r_, r_));
+  }
+  res_.relative_residual = rnorm / bnorm_;
+  if (opt.record_residuals) res_.residual_history.push_back(res_.relative_residual);
+}
+
+bool CGEngine::advance(int it, double rnorm, Stagnation& stagnated, const CGOptions& opt) {
+  const double rel = rnorm / bnorm_;
+  res_.relative_residual = rel;
+  if (opt.record_residuals) res_.residual_history.push_back(rel);
+  if (!std::isfinite(rnorm)) {
+    res_.status = SolveStatus::kBreakdown;
+  } else if (stagnated(it, rel)) {
+    res_.status = SolveStatus::kStagnated;
+  } else {
+    return true;
+  }
+  return false;
+}
+
+void CGEngine::finish(const CGOptions& opt) {
+  if (res_.relative_residual <= opt.tolerance) res_.status = SolveStatus::kConverged;
+}
+
+void CGEngine::run(const CGOptions& opt) {
+  switch (opt.variant) {
+    case CGVariant::kClassic: classic(opt); return;
+    case CGVariant::kGropp: gropp(opt); break;
+    case CGVariant::kPipelined: pipelined(opt); break;
+    default: GEOFEM_CHECK(false, "unknown CG variant");
+  }
+  // Reordered-arithmetic variants are numerically delicate: a breakdown or
+  // stall falls back to the bitwise-reference kClassic on the SAME
+  // preconditioner (warm restart from the partial iterate, shared budget)
+  // before any preconditioner-level fallback gets to run.
+  if (res_.status != SolveStatus::kBreakdown && res_.status != SolveStatus::kStagnated) return;
+  ++res_.variant_fallbacks;
+  start(CGStart::kWarm, opt);
+  classic(opt);
+  if (res_.status == SolveStatus::kConverged) res_.status = SolveStatus::kFellBack;
+}
+
+/// Textbook PCG: three blocking reductions per iteration. The operation order
+/// is the pre-variant solver's, so kClassic residual histories stay
+/// bit-identical to the pre-change baselines.
+void CGEngine::classic(const CGOptions& opt) {
+  simd::aligned_vector<double> z(ops_.n), p(ops_.n + ops_.halo), q(ops_.n);
+  auto* fc = &res_.flops;
+  Stagnation stagnated(opt.stagnation_window);
+  res_.status = SolveStatus::kMaxIterations;
   double rho_prev = 0.0;
-  for (int it = 0; res.iterations < opt.max_iterations && rnorm / bnorm > opt.tolerance; ++it) {
-    double rho = 0.0;
+  for (int it = 0;
+       res_.iterations < opt.max_iterations && res_.relative_residual > opt.tolerance; ++it) {
+    precond(r_, z);
+    double rho = 0.0, rnorm = 0.0;
     {
-      obs::ScopedSpan s(reg, "pcg.precond");
-      m.apply(r, z, fc, ls);
-    }
-    {
-      obs::ScopedSpan s(reg, "pcg.blas1");
-      rho = sparse::dot(r, z, fc);
+      obs::ScopedSpan s(reg_, "pcg.blas1");
+      rho = sum_dot(r_, z);
       // Breakdown: with an SPD preconditioner and r != 0, rho = r.z must be
-      // strictly positive; anything else (including NaN) would previously
-      // poison p and run to max_iterations on garbage.
+      // strictly positive; anything else (including NaN) would poison p and
+      // run to max_iterations on garbage.
       if (!(rho > 0.0)) {
-        res.status = SolveStatus::kBreakdown;
+        res_.status = SolveStatus::kBreakdown;
         break;
       }
       if (it == 0) {
-        sparse::copy(z, p);
+        sparse::copy(z, own(p));
       } else {
-        sparse::xpby(z, rho / rho_prev, p, fc);
+        sparse::xpby(z, rho / rho_prev, own(p), fc);
       }
     }
     rho_prev = rho;
 
+    spmv(p, q);
     {
-      obs::ScopedSpan s(reg, "pcg.spmv");
-      amul(p, q, fc, ls);
-    }
-    {
-      obs::ScopedSpan s(reg, "pcg.blas1");
-      const double pq = sparse::dot(p, q, fc);
+      obs::ScopedSpan s(reg_, "pcg.blas1");
+      const double pq = sum_dot(own(p), q);
       // Indefinite direction: p.Ap <= 0 means A is not SPD along p and the
       // step length alpha is meaningless.
       if (!(pq > 0.0)) {
-        res.status = SolveStatus::kBreakdown;
+        res_.status = SolveStatus::kBreakdown;
         break;
       }
       const double alpha = rho / pq;
-      sparse::axpy(alpha, p, x, fc);
-      sparse::axpy(-alpha, q, r, fc);
-      rnorm = sparse::norm2(r, fc);
+      sparse::axpy(alpha, own(p), own(x_), fc);
+      sparse::axpy(-alpha, q, r_, fc);
+      rnorm = std::sqrt(sum_dot(r_, r_));
     }
-    ++res.iterations;
-    if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
-    if (!std::isfinite(rnorm)) {
-      res.status = SolveStatus::kBreakdown;
-      break;
-    }
-    if (window > 0) {
-      const double rel = rnorm / bnorm;
-      const auto slot = static_cast<std::size_t>(it % window);
-      if (it >= window && rel > 0.99 * stag_ring[slot]) {
-        res.status = SolveStatus::kStagnated;
-        break;
-      }
-      stag_ring[slot] = rel;
-    }
+    ++res_.iterations;
+    if (!advance(it, rnorm, stagnated, opt)) break;
   }
-
-  res.relative_residual = rnorm / bnorm;
-  if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
+  finish(opt);
 }
 
-/// Gropp's two-overlap CG: two reductions per iteration, (p,s) hidden behind
-/// q = M⁻¹s and the fused {(r,u), ||r||²} hidden behind w = Au. Serially the
-/// reductions are free; the operation order still mirrors the distributed
-/// loop so the two count iterations identically, and the would-be overlap
-/// windows are traced as pcg.overlap spans.
-void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
-                   std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                   CGResult& res, obs::Registry* reg) {
-  const std::size_t n = b.size();
-  simd::aligned_vector<double> r(n), u(n), p(n), s(n), q(n), w(n);
-  auto* fc = &res.flops;
-  auto* ls = &res.loops;
+/// Gropp's two-overlap CG: two reductions per iteration, δ = (p,s) hidden
+/// behind q = M⁻¹s and the fused {(r,u), ||r||²} hidden behind w = Au.
+void CGEngine::gropp(const CGOptions& opt) {
+  const std::size_t nh = ops_.n + ops_.halo;
+  simd::aligned_vector<double> u(nh), p(nh), s(ops_.n), q(ops_.n), w(ops_.n);
+  auto* fc = &res_.flops;
+  precond(r_, u);
+  sparse::copy(own(u), own(p));
+  spmv(p, s);
+  double gamma = sum_dot(r_, own(u));
 
-  {
-    obs::ScopedSpan sp(reg, "pcg.spmv");
-    amul(x, r, fc, ls);
-  }
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  fc->blas1 += n;
-
-  const double bnorm = sparse::norm2(b, fc);
-  GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
-
-  {
-    obs::ScopedSpan sp(reg, "pcg.precond");
-    m.apply(r, u, fc, ls);
-  }
-  sparse::copy(u, p);
-  {
-    obs::ScopedSpan sp(reg, "pcg.spmv");
-    amul(p, s, fc, ls);
-  }
-  double gamma = sparse::dot(r, u, fc);
-
-  const int window = opt.stagnation_window;
-  std::vector<double> stag_ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-
-  res.status = SolveStatus::kMaxIterations;
-  for (int it = 0; res.iterations < opt.max_iterations && rnorm / bnorm > opt.tolerance; ++it) {
+  Stagnation stagnated(opt.stagnation_window);
+  res_.status = SolveStatus::kMaxIterations;
+  for (int it = 0;
+       res_.iterations < opt.max_iterations && res_.relative_residual > opt.tolerance; ++it) {
     if (!(gamma > 0.0)) {
-      res.status = SolveStatus::kBreakdown;
+      res_.status = SolveStatus::kBreakdown;
       break;
     }
-    // First reduction, δ = (p, s) — distributed, its allreduce is in flight
-    // while the preconditioner below runs.
-    const double delta = sparse::dot(p, s, fc);
-    {
-      obs::ScopedSpan ov(reg, "pcg.overlap");
-      obs::ScopedSpan sp(reg, "pcg.precond");
-      m.apply(s, q, fc, ls);  // q = M⁻¹ s
-    }
+    double delta = sparse::dot(own(p), s, fc);
+    reduce({&delta, 1}, [&] {
+      obs::ScopedSpan ov(reg_, "pcg.overlap");
+      precond(s, q);  // q = M⁻¹ s
+    });
     if (!(delta > 0.0)) {
-      res.status = SolveStatus::kBreakdown;
+      res_.status = SolveStatus::kBreakdown;
       break;
     }
     const double alpha = gamma / delta;
-    sparse::axpy(alpha, p, x, fc);
-    sparse::axpy(-alpha, s, r, fc);
-    sparse::axpy(-alpha, q, u, fc);
-    // Second reduction, fused {γ' = (r,u), ||r||²} — in flight while the
-    // SpMV below runs.
-    const double gamma_new = sparse::dot(r, u, fc);
-    const double rr = sparse::dot(r, r, fc);
-    {
-      obs::ScopedSpan ov(reg, "pcg.overlap");
-      obs::ScopedSpan sp(reg, "pcg.spmv");
-      amul(u, w, fc, ls);  // w = A u
-    }
-    const double beta = gamma_new / gamma;
-    sparse::xpby(u, beta, p, fc);  // p = u + β p
-    sparse::xpby(w, beta, s, fc);  // s = w + β s
-    gamma = gamma_new;
-    rnorm = std::sqrt(rr);
-    ++res.iterations;
-    if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
-    if (!std::isfinite(rnorm)) {
-      res.status = SolveStatus::kBreakdown;
-      break;
-    }
-    if (window > 0) {
-      const double rel = rnorm / bnorm;
-      const auto slot = static_cast<std::size_t>(it % window);
-      if (it >= window && rel > 0.99 * stag_ring[slot]) {
-        res.status = SolveStatus::kStagnated;
-        break;
-      }
-      stag_ring[slot] = rel;
-    }
+    sparse::axpy(alpha, own(p), own(x_), fc);
+    sparse::axpy(-alpha, s, r_, fc);
+    sparse::axpy(-alpha, q, own(u), fc);
+    double g[2] = {sparse::dot(r_, own(u), fc), sparse::dot(r_, r_, fc)};
+    reduce(g, [&] {
+      obs::ScopedSpan ov(reg_, "pcg.overlap");
+      spmv(u, w);  // w = A u
+    });
+    const double beta = g[0] / gamma;
+    sparse::xpby(own(u), beta, own(p), fc);  // p = u + β p
+    sparse::xpby(w, beta, s, fc);            // s = w + β s
+    gamma = g[0];
+    ++res_.iterations;
+    if (!advance(it, std::sqrt(g[1]), stagnated, opt)) break;
   }
-
-  res.relative_residual = rnorm / bnorm;
-  if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
+  finish(opt);
 }
 
 /// Ghysels–Vanroose pipelined CG: ONE fused reduction per iteration
@@ -226,90 +229,57 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
 /// synchronization; the recurrence residual can drift from the true one
 /// (attainable accuracy), which is why breakdown/stagnation here falls back
 /// to kClassic rather than straight to a different preconditioner.
-void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
-                       std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                       CGResult& res, obs::Registry* reg) {
-  const std::size_t n = b.size();
-  simd::aligned_vector<double> r(n), u(n), w(n), mv(n), nv(n), z(n), q(n), s(n), p(n);
-  auto* fc = &res.flops;
-  auto* ls = &res.loops;
+void CGEngine::pipelined(const CGOptions& opt) {
+  const std::size_t nh = ops_.n + ops_.halo;
+  simd::aligned_vector<double> u(nh), w(ops_.n), mv(nh), nv(ops_.n), z(ops_.n), q(nh),
+      s(ops_.n), p(nh);
+  auto* fc = &res_.flops;
+  precond(r_, u);
+  spmv(u, w);
 
-  {
-    obs::ScopedSpan sp(reg, "pcg.spmv");
-    amul(x, r, fc, ls);
-  }
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  fc->blas1 += n;
+  const std::function<void()> window = [&] {
+    obs::ScopedSpan ov(reg_, "pcg.overlap");
+    precond(w, mv);  // m = M⁻¹ w
+    spmv(mv, nv);    // n = A m
+  };
+  // A local sum has nothing to hide, so the window then waits until the loop
+  // knows it continues: the last iteration skips one SpMV and one apply.
+  const bool hide = static_cast<bool>(ops_.sum);
 
-  const double bnorm = sparse::norm2(b, fc);
-  GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
-
-  {
-    obs::ScopedSpan sp(reg, "pcg.precond");
-    m.apply(r, u, fc, ls);
-  }
-  {
-    obs::ScopedSpan sp(reg, "pcg.spmv");
-    amul(u, w, fc, ls);
-  }
-
-  const int window = opt.stagnation_window;
-  std::vector<double> stag_ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-
-  res.status = SolveStatus::kMaxIterations;
+  Stagnation stagnated(opt.stagnation_window);
+  res_.status = SolveStatus::kMaxIterations;
   double gamma_prev = 0.0, alpha_prev = 0.0;
   for (int it = 0;; ++it) {
-    // The single fused reduction of the iteration. Distributed, its
-    // allreduce is posted here and the overlap window below (M⁻¹w and Am)
-    // runs before the wait.
-    const double gamma = sparse::dot(r, u, fc);
-    const double delta = sparse::dot(w, u, fc);
-    const double rr = sparse::dot(r, r, fc);
-    rnorm = std::sqrt(rr);
-    const double rel = rnorm / bnorm;
+    double g[3] = {sparse::dot(r_, own(u), fc), sparse::dot(w, own(u), fc),
+                   sparse::dot(r_, r_, fc)};
+    if (hide) {
+      reduce(g, window);
+    } else {
+      reduce(g);
+    }
+    const double gamma = g[0];
+    const double delta = g[1];
     // ||r_it||² arrives with iteration it's reduction: the history entry and
     // the stagnation probe for the previous iteration's update land here.
-    if (it > 0) {
-      if (opt.record_residuals) res.residual_history.push_back(rel);
-      if (!std::isfinite(rnorm)) {
-        res.status = SolveStatus::kBreakdown;
-        break;
-      }
-      if (window > 0) {
-        const auto slot = static_cast<std::size_t>((it - 1) % window);
-        if (it - 1 >= window && rel > 0.99 * stag_ring[slot]) {
-          res.status = SolveStatus::kStagnated;
-          break;
-        }
-        stag_ring[slot] = rel;
-      }
-    }
-    if (rel <= opt.tolerance) {
-      res.status = SolveStatus::kConverged;
+    if (it == 0) {
+      res_.relative_residual = std::sqrt(g[2]) / bnorm_;
+    } else if (!advance(it - 1, std::sqrt(g[2]), stagnated, opt)) {
       break;
     }
-    if (res.iterations >= opt.max_iterations) break;
-    {
-      obs::ScopedSpan ov(reg, "pcg.overlap");
-      {
-        obs::ScopedSpan sp(reg, "pcg.precond");
-        m.apply(w, mv, fc, ls);  // m = M⁻¹ w
-      }
-      {
-        obs::ScopedSpan sp(reg, "pcg.spmv");
-        amul(mv, nv, fc, ls);  // n = A m
-      }
+    if (res_.relative_residual <= opt.tolerance) {
+      res_.status = SolveStatus::kConverged;
+      break;
     }
+    if (res_.iterations >= opt.max_iterations) break;
+    if (!hide) window();
     if (!(gamma > 0.0)) {
-      res.status = SolveStatus::kBreakdown;
+      res_.status = SolveStatus::kBreakdown;
       break;
     }
     double alpha = 0.0, beta = 0.0;
     if (it == 0) {
       if (!(delta > 0.0)) {
-        res.status = SolveStatus::kBreakdown;
+        res_.status = SolveStatus::kBreakdown;
         break;
       }
       alpha = gamma / delta;
@@ -320,81 +290,51 @@ void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
       // rounding-induced breakdown mode.
       const double denom = delta - beta * gamma / alpha_prev;
       if (!(denom > 0.0) || !std::isfinite(denom)) {
-        res.status = SolveStatus::kBreakdown;
+        res_.status = SolveStatus::kBreakdown;
         break;
       }
       alpha = gamma / denom;
     }
     if (it == 0) {
       sparse::copy(nv, z);
-      sparse::copy(mv, q);
+      sparse::copy(own(mv), own(q));
       sparse::copy(w, s);
-      sparse::copy(u, p);
+      sparse::copy(own(u), own(p));
     } else {
-      sparse::xpby(nv, beta, z, fc);  // z = n + β z
-      sparse::xpby(mv, beta, q, fc);  // q = m + β q
-      sparse::xpby(w, beta, s, fc);   // s = w + β s
-      sparse::xpby(u, beta, p, fc);   // p = u + β p
+      sparse::xpby(nv, beta, z, fc);             // z = n + β z
+      sparse::xpby(own(mv), beta, own(q), fc);  // q = m + β q
+      sparse::xpby(w, beta, s, fc);              // s = w + β s
+      sparse::xpby(own(u), beta, own(p), fc);   // p = u + β p
     }
-    sparse::axpy(alpha, p, x, fc);
-    sparse::axpy(-alpha, s, r, fc);
-    sparse::axpy(-alpha, q, u, fc);
+    sparse::axpy(alpha, own(p), own(x_), fc);
+    sparse::axpy(-alpha, s, r_, fc);
+    sparse::axpy(-alpha, own(q), own(u), fc);
     sparse::axpy(-alpha, z, w, fc);
     gamma_prev = gamma;
     alpha_prev = alpha;
-    ++res.iterations;
+    ++res_.iterations;
 
     // Periodic residual replacement: rebuild every recurrence vector from its
-    // definition. Purely local work (no reductions), so the single-reduction
-    // overlap structure is untouched; without it the recurrence residual
-    // plateaus well above classic's attainable accuracy on ill-conditioned
-    // systems and tight tolerances force the kClassic fallback.
+    // definition. No reductions, so the single-reduction overlap structure
+    // (and the lockstep of a distributed solve) is untouched; without it the
+    // recurrence residual plateaus well above classic's attainable accuracy
+    // on ill-conditioned systems and tight tolerances force the kClassic
+    // fallback.
     const int replace = opt.pipeline_replace_interval;
     if (replace > 0 && (it + 1) % replace == 0) {
-      {
-        obs::ScopedSpan sp(reg, "pcg.spmv");
-        amul(x, mv, fc, ls);
-      }
-      for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - mv[i];
-      fc->blas1 += n;
-      {
-        obs::ScopedSpan sp(reg, "pcg.precond");
-        m.apply(r, u, fc, ls);
-      }
-      {
-        obs::ScopedSpan sp(reg, "pcg.spmv");
-        amul(u, w, fc, ls);
-        amul(p, s, fc, ls);
-      }
-      {
-        obs::ScopedSpan sp(reg, "pcg.precond");
-        m.apply(s, q, fc, ls);
-      }
-      {
-        obs::ScopedSpan sp(reg, "pcg.spmv");
-        amul(q, z, fc, ls);
-      }
+      residual();
+      precond(r_, u);
+      spmv(u, w);
+      spmv(p, s);
+      precond(s, q);
+      spmv(q, z);
     }
   }
-
-  res.relative_residual = rnorm / bnorm;
-  if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
+  finish(opt);
 }
-
-Attempt attempt_of(CGVariant v) {
-  switch (v) {
-    case CGVariant::kClassic: return &attempt_classic;
-    case CGVariant::kGropp: return &attempt_gropp;
-    case CGVariant::kPipelined: return &attempt_pipelined;
-  }
-  GEOFEM_CHECK(false, "unknown CG variant");
-}
-
-}  // namespace
 
 CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
              std::span<double> x, const CGOptions& opt) {
-  GEOFEM_CHECK(b.size() == x.size(), "pcg size mismatch");
   CGResult res;
   util::Timer timer;
 
@@ -404,25 +344,21 @@ CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<con
   obs::Registry* reg = obs::current();
   obs::ScopedSpan solve_span(reg, "pcg.solve");
 
-  attempt_of(opt.variant)(amul, m, b, x, opt, res, reg);
-
-  // Reordered-arithmetic variants are numerically delicate: a breakdown or
-  // stall falls back to the bitwise-reference kClassic on the SAME
-  // preconditioner (warm restart from the partial iterate, shared budget)
-  // before any preconditioner-level fallback gets to run.
-  if (opt.variant != CGVariant::kClassic &&
-      (res.status == SolveStatus::kBreakdown || res.status == SolveStatus::kStagnated)) {
-    res.variant_fallbacks = 1;
-    if (reg) reg->counter("pcg.fallback.variant")->add(1);
-    CGOptions retry = opt;
-    retry.variant = CGVariant::kClassic;
-    attempt_classic(amul, m, b, x, retry, res, reg);
-    if (res.status == SolveStatus::kConverged) res.status = SolveStatus::kFellBack;
-  }
-
+  CGEngine cg({.n = b.size(),
+               .halo = 0,
+               .apply_a = amul,
+               .apply_m = [&m](std::span<const double> in, std::span<double> out,
+                               util::FlopCounter* fc, util::LoopStats* ls) {
+                 m.apply(in, out, fc, ls);
+               },
+               .sum = nullptr},  // one rank: the partials are the sums
+              b, x, res);
+  cg.start(CGStart::kWarm, opt);
+  cg.run(opt);
   res.solve_seconds = timer.seconds();
 
   if (reg) {
+    if (res.variant_fallbacks > 0) reg->counter("pcg.fallback.variant")->add(1);
     std::string slug = to_string(res.status);
     for (char& ch : slug)
       if (ch == ' ') ch = '_';

@@ -6,9 +6,14 @@
 
 #include "core/status.hpp"
 #include "precond/preconditioner.hpp"
+#include "simd/simd.hpp"
 #include "sparse/block_csr.hpp"
 #include "util/flops.hpp"
 #include "util/loop_stats.hpp"
+
+namespace geofem::obs {
+class Registry;
+}  // namespace geofem::obs
 
 namespace geofem::solver {
 
@@ -28,7 +33,9 @@ namespace geofem::solver {
 ///                accuracy.
 /// Reordered arithmetic means Gropp/pipelined residual histories are NOT
 /// bit-identical to classic (iteration parity is tested instead), but each
-/// variant is itself deterministic across thread counts and overlap settings.
+/// variant is itself deterministic across thread counts and overlap settings,
+/// and serial and 1-domain distributed solves run the same CGEngine bit for
+/// bit.
 enum class CGVariant { kClassic = 0, kGropp = 1, kPipelined = 2 };
 
 [[nodiscard]] std::string to_string(CGVariant v);
@@ -74,10 +81,89 @@ struct CGResult {
   [[nodiscard]] bool converged() const { return ok(status); }
 };
 
-/// y = A x hook; implementations forward to BlockCSR::spmv, DJDSMatrix::spmv
-/// (with permuted vectors), or a distributed halo-exchange matvec.
+/// y = A x hook; implementations forward to BlockCSR::spmv or DJDSMatrix::spmv
+/// (with permuted vectors).
 using MatVec = std::function<void(std::span<const double>, std::span<double>,
                                   util::FlopCounter*, util::LoopStats*)>;
+
+/// Where a CGEngine run starts.
+enum class CGStart {
+  kWarm,  ///< r = b - A x from the current x (one matvec)
+  kCold,  ///< x = 0 and r = b, without a matvec
+};
+
+/// The three operations the CG engine is bound to (DESIGN.md §5j). pcg()
+/// binds a matvec and a preconditioner and leaves `sum` empty;
+/// dist::solve_distributed binds its halo-overlapped matvec, its coarse-aware
+/// preconditioner and Comm's allreduces.
+struct CGOps {
+  std::size_t n = 0;     ///< owned entries of every vector: the BLAS-1 length
+  std::size_t halo = 0;  ///< extra trailing slots of every apply_a input
+  /// out = A v, where v has n + halo entries and apply_a may fill the halo
+  /// slots (a halo exchange) before multiplying.
+  std::function<void(std::span<double> v, std::span<double> out, util::FlopCounter*,
+                     util::LoopStats*)>
+      apply_a;
+  /// out = M⁻¹ in.
+  std::function<void(std::span<const double> in, std::span<double> out, util::FlopCounter*,
+                     util::LoopStats*)>
+      apply_m;
+  /// Sums the partial dot products in `v` across ranks, in place. A non-empty
+  /// `overlap` is work to run while the sums are in flight (split phase); an
+  /// empty one asks for a blocking sum. Left empty, the partials already are
+  /// the sums (one rank): nothing is summed and nothing is hidden.
+  std::function<void(std::span<double> v, const std::function<void()>& overlap)> sum;
+};
+
+/// One preconditioned CG engine for serial and distributed solves (DESIGN.md
+/// §5j): the three variants and the variant -> kClassic retry, written once
+/// against CGOps. Every exit decision derives from summed scalars, so all
+/// ranks of a distributed solve leave each loop together. The pcg.spmv,
+/// pcg.precond, pcg.blas1 and pcg.overlap spans go to obs::current().
+class CGEngine {
+ public:
+  /// Sums ||b||² once. `b` has ops.n entries and `x` ops.n + ops.halo; both
+  /// and `res` must outlive the engine. Runs accumulate into `res`
+  /// (iterations, residual history, flops, loop stats), so every run on one
+  /// engine draws on the same opt.max_iterations budget.
+  CGEngine(CGOps ops, std::span<const double> b, std::span<double> x, CGResult& res);
+
+  /// Sets the residual from `start` and records its norm.
+  void start(CGStart start, const CGOptions& opt);
+
+  /// Runs opt.variant from the current residual until it converges, fails or
+  /// spends the budget; sets res.status and res.relative_residual. A
+  /// Gropp/pipelined attempt that breaks down or stagnates retries kClassic
+  /// on the same operators from a warm start (counted in
+  /// res.variant_fallbacks; kFellBack when the retry converges).
+  void run(const CGOptions& opt);
+
+ private:
+  class Stagnation;
+
+  void classic(const CGOptions& opt);
+  void gropp(const CGOptions& opt);
+  void pipelined(const CGOptions& opt);
+
+  void residual();  ///< r = b - A x
+  void spmv(std::span<double> v, std::span<double> out);
+  void precond(std::span<const double> in, std::span<double> out);
+  void reduce(std::span<double> v, const std::function<void()>& overlap = {});
+  double sum_dot(std::span<const double> a, std::span<const double> b);
+  /// Records the residual norm of iteration `it`; false (status set) on
+  /// breakdown or stagnation.
+  bool advance(int it, double rnorm, Stagnation& stagnated, const CGOptions& opt);
+  void finish(const CGOptions& opt);
+  [[nodiscard]] std::span<double> own(std::span<double> v) const { return v.first(ops_.n); }
+
+  CGOps ops_;
+  std::span<const double> b_;
+  std::span<double> x_;
+  CGResult& res_;
+  obs::Registry* reg_;
+  simd::aligned_vector<double> r_;
+  double bnorm_ = 0.0;
+};
 
 /// Preconditioned conjugate gradients. `x` holds the initial guess on entry
 /// and the solution on return.

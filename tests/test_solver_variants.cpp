@@ -6,15 +6,19 @@
 // residual within tolerance across the Tier-1 preconditioner matrix, (b)
 // bitwise determinism of EACH variant across thread counts and halo-overlap
 // settings, (c) split-phase reduction faults surface as kCommTimeout on every
-// rank instead of hanging, and (d) a variant breakdown retries with kClassic
-// on the same preconditioner, in lockstep on every rank.
+// rank instead of hanging, (d) a variant breakdown retries with kClassic
+// on the same preconditioner, in lockstep on every rank, (e) a 1-domain
+// distributed solve reproduces the serial one bit for bit (one engine), and
+// (f) the allreduces and halo messages each variant spends per solve.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "contact/penalty.hpp"
@@ -334,10 +338,13 @@ INSTANTIATE_TEST_SUITE_P(Variants, VariantDeterminism,
                          [](const auto& info) { return gsolver::to_string(info.param); });
 
 // ---------------------------------------------------------------------------
-// Serial vs 1-domain distributed iteration parity per variant
+// Serial vs 1-domain distributed: one engine, bit for bit
 // ---------------------------------------------------------------------------
 
 TEST(VariantSerialDistParity, OneDomainIterationCountsMatch) {
+  // Serial and distributed solves run the same CG engine, so a 1-domain
+  // distributed solve reproduces the serial residual history and solution
+  // bit for bit, for every variant and either halo-overlap setting.
   Problem pb(1e2);
   gpart::Partition p;
   p.num_domains = 1;
@@ -346,20 +353,77 @@ TEST(VariantSerialDistParity, OneDomainIterationCountsMatch) {
   const gp::BIC0 prec(pb.sys.a);
 
   for (const CGVariant v : {CGVariant::kClassic, CGVariant::kGropp, CGVariant::kPipelined}) {
-    SCOPED_TRACE(gsolver::to_string(v));
     gsolver::CGOptions sopt;
     sopt.variant = v;
+    sopt.record_residuals = true;
     std::vector<double> x(pb.sys.a.ndof(), 0.0);
     const auto sres = gsolver::pcg(pb.sys.a, prec, pb.sys.b, x, sopt);
     ASSERT_TRUE(sres.converged());
 
-    gd::DistOptions dopt;
-    dopt.cg.variant = v;
-    const auto dres = gd::solve_distributed(systems, bic0_factory(), dopt);
-    ASSERT_TRUE(dres.converged());
-    // Same recurrences; summation order of the global dots differs (serial
-    // straight loop vs rank-ascending partials), so allow a whisker.
-    EXPECT_NEAR(dres.iterations, sres.iterations, 2);
+    for (const bool overlap : {false, true}) {
+      SCOPED_TRACE(gsolver::to_string(v) + " overlap=" + std::to_string(overlap));
+      gd::DistOptions dopt;
+      dopt.cg.variant = v;
+      dopt.cg.record_residuals = true;
+      dopt.threads = 1;
+      dopt.overlap = overlap;
+      std::vector<double> xd;
+      const auto dres = gd::solve_distributed(systems, bic0_factory(), dopt, &xd);
+      ASSERT_TRUE(dres.converged());
+      EXPECT_EQ(dres.iterations, sres.iterations);
+      ASSERT_EQ(dres.residual_history.size(), sres.residual_history.size());
+      for (std::size_t i = 0; i < sres.residual_history.size(); ++i)
+        ASSERT_EQ(dres.residual_history[i], sres.residual_history[i]) << "iteration " << i;
+      ASSERT_EQ(xd.size(), x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(xd[i], x[i]) << "dof " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Communication per solve: allreduces and halo messages per variant
+// ---------------------------------------------------------------------------
+
+TEST(VariantCommunication, AllreducesAndHaloMessagesPerSolve) {
+  // One allreduce for ||b||, then per iteration: classic 3 blocking; Gropp
+  // 1 blocking at set-up + 2 split-phase; pipelined 1 fused split-phase per
+  // loop pass, including the pass that detects convergence. One halo
+  // exchange per link and matvec: classic 1 per iteration; Gropp one more at
+  // set-up; pipelined one at set-up, one per loop pass and 4 per residual
+  // replacement (every 20 iterations by default).
+  Problem pb(1e2);
+  for (const int ranks : {2, 4}) {
+    const auto p = gpart::rcb_contact_aware(pb.mesh, ranks);
+    const auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
+    for (const CGVariant v : {CGVariant::kClassic, CGVariant::kGropp, CGVariant::kPipelined}) {
+      for (const bool overlap : {false, true}) {
+        SCOPED_TRACE(std::to_string(ranks) + " ranks, " + gsolver::to_string(v) +
+                     " overlap=" + std::to_string(overlap));
+        gd::DistOptions opt;
+        opt.cg.variant = v;
+        opt.threads = 1;
+        opt.overlap = overlap;
+        const auto res = gd::solve_distributed(systems, bic0_factory(), opt);
+        ASSERT_EQ(res.status, SolveStatus::kConverged);
+        const auto it = static_cast<std::uint64_t>(res.iterations);
+        std::uint64_t allreduces = 3 * it + 1;
+        std::uint64_t matvecs = it;
+        if (v == CGVariant::kGropp) {
+          allreduces = 2 * it + 2;
+          matvecs = it + 1;
+        } else if (v == CGVariant::kPipelined) {
+          allreduces = it + 2;
+          matvecs = it + 2 + 4 * (it / 20);
+        }
+        EXPECT_EQ(res.traffic_per_rank[0].allreduces, allreduces);
+        for (int r = 0; r < ranks; ++r) {
+          const auto links = systems[static_cast<std::size_t>(r)].links.size();
+          EXPECT_EQ(res.traffic_per_rank[static_cast<std::size_t>(r)].messages_sent,
+                    links * matvecs)
+              << "rank " << r;
+        }
+      }
+    }
   }
 }
 
