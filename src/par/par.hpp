@@ -136,17 +136,22 @@ struct LevelSchedule {
 /// Execute `row(i)` for every row of the schedule, level by level, with rows
 /// of one level spread over `team` threads. With team <= 1 (or a fully
 /// sequential schedule) the rows run serially in schedule order — same
-/// values either way, since rows within a level are independent.
+/// values either way, since rows within a level are independent. Otherwise
+/// the whole sweep is ONE parallel region with an `omp for` per level: the
+/// implicit barrier orders the levels at the cost of a barrier, not a
+/// fork/join, per level (DESIGN.md §5e).
 template <class RowFn>
 inline void for_levels(const LevelSchedule& s, int team, RowFn&& row) {
   if (team <= 1 || s.sequential()) {
     for (int r : s.rows) row(r);
     return;
   }
-  for (int l = 0; l < s.num_levels(); ++l) {
+  const int nlev = s.num_levels();
+#pragma omp parallel num_threads(team)
+  for (int l = 0; l < nlev; ++l) {
     const auto lv = s.level(l);
     const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(lv.size());
-#pragma omp parallel for schedule(static) num_threads(team) if (m > 1)
+#pragma omp for schedule(static)
     for (std::ptrdiff_t t = 0; t < m; ++t) row(lv[static_cast<std::size_t>(t)]);
   }
 }

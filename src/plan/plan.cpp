@@ -4,7 +4,6 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "precond/diagonal.hpp"
-#include "precond/djds_bic.hpp"
 #include "precond/two_level.hpp"
 #include "reorder/coloring.hpp"
 #include "util/check.hpp"
@@ -67,6 +66,7 @@ SolvePlan::SolvePlan(const sparse::BlockCSR& a, const contact::Supernodes& sn,
     opt.npe = cfg.npe;
     opt.sort_supernodes_by_size = cfg.sort_supernodes;
     dj_ = std::make_unique<reorder::DJDSMatrix>(a, coloring, selective ? &sn_ : nullptr, opt);
+    djs_ = precond::djds_symbolic(a, *dj_);
   }
   symbolic_seconds_ = timer.seconds();
 }
@@ -77,7 +77,7 @@ std::size_t SolvePlan::memory_bytes() const {
   if (iluk_) bytes += iluk_->memory_bytes();
   if (ic0_) bytes += ic0_->memory_bytes();
   if (sb_) bytes += sb_->memory_bytes();
-  if (dj_) bytes += dj_->memory_bytes();
+  if (dj_) bytes += dj_->memory_bytes() + djs_->memory_bytes();
   return bytes;
 }
 
@@ -89,7 +89,7 @@ precond::PreconditionerPtr SolvePlan::numeric(const sparse::BlockCSR& a) const {
   if (dj_) {
     std::lock_guard lock(numeric_mtx_);
     dj_->refill(a);
-    return std::make_unique<precond::DJDSBIC>(a, *dj_, cfg_.precision);
+    return std::make_unique<precond::DJDSBIC>(a, *dj_, djs_, cfg_.precision);
   }
   switch (cfg_.precond) {
     case PrecondKind::kDiagonal:

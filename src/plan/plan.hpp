@@ -10,6 +10,7 @@
 #include "plan/cache.hpp"
 #include "plan/fingerprint.hpp"
 #include "precond/bic.hpp"
+#include "precond/djds_bic.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/sb_bic0.hpp"
 #include "precond/scalar_ic0.hpp"
@@ -22,7 +23,9 @@ namespace geofem::plan {
 /// reused across numeric refactorizations: the graph fingerprint, the owned
 /// supernode map, the preconditioner's symbolic pattern (level-of-fill,
 /// selective-block schedule, scalar expansion) and — on the PDJDS orderings —
-/// the coloring plus the jagged-diagonal layout.
+/// the coloring, the jagged-diagonal layout and the DJDSBIC symbolic (unit
+/// split, gather schedule, loop statistics), so a PDJDS numeric() is
+/// refill + factor + pack.
 ///
 /// numeric() revalues the plan against a matrix with the *same graph* and
 /// returns a freshly factored preconditioner. The natural-ordering kinds only
@@ -92,8 +95,10 @@ class SolvePlan {
   std::shared_ptr<const precond::ILUkSymbolic> iluk_;
   std::shared_ptr<const precond::ScalarIC0Symbolic> ic0_;
   std::shared_ptr<const precond::SBSymbolic> sb_;
-  // PDJDS orderings: plan-owned layout, revalued in place by numeric()
+  // PDJDS orderings: plan-owned layout, revalued in place by numeric(), and
+  // the preconditioner's structure on it (units, gather schedule, stats)
   std::unique_ptr<reorder::DJDSMatrix> dj_;
+  std::shared_ptr<const precond::DJDSSymbolic> djs_;
   // two-level schedule (cfg.coarse): symbolic built once, numeric memoized on
   // a value hash so warm λ-cycles skip the Galerkin assembly (and, in the
   // single-address-space path, the factorization too)

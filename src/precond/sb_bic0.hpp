@@ -106,6 +106,10 @@ class SBBIC0 final : public Preconditioner {
   /// Largest selective block (FEM nodes).
   [[nodiscard]] int max_block_nodes() const { return max_block_; }
 
+  /// Supernode dependency levels the hybrid forward / backward sweeps walk.
+  [[nodiscard]] const par::LevelSchedule& forward_schedule() const { return fwd_; }
+  [[nodiscard]] const par::LevelSchedule& backward_schedule() const { return bwd_; }
+
  private:
   void build_schedules();
   void narrow_storage();

@@ -268,81 +268,84 @@ void DJDSMatrix::spmv(std::span<const double> x, std::span<double> y, util::Flop
   GEOFEM_CHECK(static_cast<int>(x.size()) == n_ * sparse::kB &&
                    static_cast<int>(y.size()) == n_ * sparse::kB,
                "djds spmv size mismatch");
-  // Three phases with a barrier between each; inside a phase every y row is
-  // written by exactly one iteration (its own index / its unique supernode
-  // range / its unique chunk), so each row sees the serial accumulation order
-  // — diagonal assign, dense couplings, lower then upper jagged — and the
-  // result is bit-identical for any team size.
+  // Three phases inside ONE parallel region, an `omp for` each, so the
+  // implicit barriers (not a fork/join per phase) separate them. Inside a
+  // phase every y row is written by exactly one iteration (its own index /
+  // its unique supernode range / its unique chunk), so each row sees the
+  // serial accumulation order — diagonal assign, dense couplings, lower then
+  // upper jagged — and the result is bit-identical for any team size.
   const int nt = par::threads();
-  // Kernel tier is read once, outside the parallel regions, so one scope on
+  // Kernel tier is read once, outside the parallel region, so one scope on
   // the calling thread governs the whole operation.
   const bool avx2 = simd::active() == simd::Isa::kAvx2;
-  (void)avx2;
+  const int nchunks = ncolors_ * opt_.npe;
 
-  // Phase 1: diagonal contribution (assignment). The packed sweep runs the
-  // whole vector as one pass — a streaming O(n) kernel where lane width,
-  // not the team, is the lever.
+  // Phase 1 under AVX2: the packed diagonal sweep runs the whole vector as
+  // one pass — a streaming O(n) kernel where lane width, not the team, is
+  // the lever — before the region opens.
 #if GEOFEM_SIMD_HAS_AVX2
-  if (avx2) {
-    simd::sweep_avx2<simd::Mode::kAssign>(packed_diag_, x.data(), y.data());
-  } else
+  if (avx2) simd::sweep_avx2<simd::Mode::kAssign>(packed_diag_, x.data(), y.data());
 #endif
-  {
-#pragma omp parallel for schedule(static) num_threads(nt) if (nt > 1)
-    for (int i = 0; i < n_; ++i)
-      sparse::b3_apply(diag(i), x.data() + static_cast<std::size_t>(i) * sparse::kB,
-                       y.data() + static_cast<std::size_t>(i) * sparse::kB);
-  }
 
-  // Phase 2: intra-supernode couplings (dense blocks, member diagonals
-  // excluded since they were applied above). Ranges cover disjoint rows.
-#pragma omp parallel for schedule(static) num_threads(nt) if (nt > 1)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(super_ranges_.size()); ++r) {
-    const auto& sr = super_ranges_[static_cast<std::size_t>(r)];
-    const auto& dense = super_dense_[static_cast<std::size_t>(r)];
-    const int dim = sparse::kB * sr.size;
-    for (int ti = 0; ti < sr.size; ++ti) {
-      double* yi = y.data() + static_cast<std::size_t>(sr.start + ti) * sparse::kB;
-      for (int tj = 0; tj < sr.size; ++tj) {
-        if (ti == tj) continue;
-        const double* xj = x.data() + static_cast<std::size_t>(sr.start + tj) * sparse::kB;
-        for (int br = 0; br < sparse::kB; ++br) {
-          const double* drow = dense.data() +
-                               static_cast<std::size_t>(sparse::kB * ti + br) * dim +
-                               static_cast<std::size_t>(sparse::kB * tj);
-          yi[br] += drow[0] * xj[0] + drow[1] * xj[1] + drow[2] * xj[2];
+#pragma omp parallel num_threads(nt) if (nt > 1)
+  {
+    // Phase 1: diagonal contribution (assignment).
+    if (!avx2) {
+#pragma omp for schedule(static)
+      for (int i = 0; i < n_; ++i)
+        sparse::b3_apply(diag(i), x.data() + static_cast<std::size_t>(i) * sparse::kB,
+                         y.data() + static_cast<std::size_t>(i) * sparse::kB);
+    }
+
+    // Phase 2: intra-supernode couplings (dense blocks, member diagonals
+    // excluded since they were applied above). Ranges cover disjoint rows.
+#pragma omp for schedule(static)
+    for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(super_ranges_.size()); ++r) {
+      const auto& sr = super_ranges_[static_cast<std::size_t>(r)];
+      const auto& dense = super_dense_[static_cast<std::size_t>(r)];
+      const int dim = sparse::kB * sr.size;
+      for (int ti = 0; ti < sr.size; ++ti) {
+        double* yi = y.data() + static_cast<std::size_t>(sr.start + ti) * sparse::kB;
+        for (int tj = 0; tj < sr.size; ++tj) {
+          if (ti == tj) continue;
+          const double* xj = x.data() + static_cast<std::size_t>(sr.start + tj) * sparse::kB;
+          for (int br = 0; br < sparse::kB; ++br) {
+            const double* drow = dense.data() +
+                                 static_cast<std::size_t>(sparse::kB * ti + br) * dim +
+                                 static_cast<std::size_t>(sparse::kB * tj);
+            yi[br] += drow[0] * xj[0] + drow[1] * xj[1] + drow[2] * xj[2];
+          }
         }
       }
     }
-  }
 
-  // Phase 3: jagged parts; each chunk owns a contiguous, disjoint row range
-  // and runs its lower then upper diagonals serially.
-  const int nchunks = ncolors_ * opt_.npe;
-#pragma omp parallel for schedule(static) num_threads(nt) if (nt > 1)
-  for (int ch = 0; ch < nchunks; ++ch) {
-    const int begin = chunk_begin_[static_cast<std::size_t>(ch)];
-    for (const Jagged* part : {&lower_[static_cast<std::size_t>(ch)],
-                               &upper_[static_cast<std::size_t>(ch)]}) {
+    // Phase 3: jagged parts; each chunk owns a contiguous, disjoint row range
+    // and runs its lower then upper diagonals serially.
+#pragma omp for schedule(static)
+    for (int ch = 0; ch < nchunks; ++ch) {
+      const int begin = chunk_begin_[static_cast<std::size_t>(ch)];
+      for (const Jagged* part : {&lower_[static_cast<std::size_t>(ch)],
+                                 &upper_[static_cast<std::size_t>(ch)]}) {
 #if GEOFEM_SIMD_HAS_AVX2
-      if (avx2) {
-        simd::sweep_avx2<simd::Mode::kAdd>(
-            part->packed, x.data(), y.data() + static_cast<std::size_t>(begin) * sparse::kB);
-        continue;
-      }
+        if (avx2) {
+          simd::sweep_avx2<simd::Mode::kAdd>(
+              part->packed, x.data(), y.data() + static_cast<std::size_t>(begin) * sparse::kB);
+          continue;
+        }
 #endif
-      for (int j = 0; j < part->num_jd(); ++j) {
-        const int s = part->jd_ptr[static_cast<std::size_t>(j)];
-        const int e = part->jd_ptr[static_cast<std::size_t>(j) + 1];
-        // This is the long innermost loop DJDS exists for: one entry of each
-        // covered row, rows contiguous from the chunk start. Rows within a
-        // diagonal are independent (distinct y blocks), so the lanes may
-        // process them together.
-        GEOFEM_PRAGMA_SIMD
-        for (int t = s; t < e; ++t) {
-          sparse::b3_gemv(part->val.data() + static_cast<std::size_t>(t) * sparse::kBB,
-                          x.data() + static_cast<std::size_t>(part->item[static_cast<std::size_t>(t)]) * sparse::kB,
-                          y.data() + static_cast<std::size_t>(begin + (t - s)) * sparse::kB);
+        for (int j = 0; j < part->num_jd(); ++j) {
+          const int s = part->jd_ptr[static_cast<std::size_t>(j)];
+          const int e = part->jd_ptr[static_cast<std::size_t>(j) + 1];
+          // This is the long innermost loop DJDS exists for: one entry of
+          // each covered row, rows contiguous from the chunk start. Rows
+          // within a diagonal are independent (distinct y blocks), so the
+          // lanes may process them together.
+          GEOFEM_PRAGMA_SIMD
+          for (int t = s; t < e; ++t) {
+            sparse::b3_gemv(part->val.data() + static_cast<std::size_t>(t) * sparse::kBB,
+                            x.data() + static_cast<std::size_t>(part->item[static_cast<std::size_t>(t)]) * sparse::kB,
+                            y.data() + static_cast<std::size_t>(begin + (t - s)) * sparse::kB);
+          }
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simd/jagged.hpp"
@@ -26,6 +27,11 @@
 /// lane, so it sits inside the cross-tier tolerance contract (<= 1e-13
 /// relative, DESIGN.md 5f) like every other AVX2 kernel; the float form
 /// replays the same sequence in fp32 and sits in the fp32 tolerance band.
+///
+/// The packs are built in every tier: below AVX2, solve_lu3 / solve_lu3_sub
+/// walk the same groups lane by lane with DenseLU::solve's exact operation
+/// order (fp64) or DenseSolveT<float>::solve's (fp32), so those tiers keep
+/// their bits while skipping the generic n x n solve loop for 3x3 units.
 namespace geofem::simd {
 
 /// Groups of up to kLanes lane-parallel 3x3 pivoted-LU solves on consecutive
@@ -96,6 +102,73 @@ inline void pack_lu3_group(PackedLU3T<T>& p, const sparse::DenseLU* const lus[],
     if (piv[0] == 1) c[kL * 9 + l] = on;
     if (piv[0] == 2) c[kL * 10 + l] = on;
     if (piv[1] == 2) c[kL * 11 + l] = on;
+  }
+}
+
+namespace detail {
+
+/// True when a pivot blend-mask lane is set (all-ones bits).
+template <class T>
+inline bool mask_set(T v) {
+  if constexpr (std::is_same_v<T, float>)
+    return std::bit_cast<std::uint32_t>(v) != 0;
+  else
+    return std::bit_cast<std::uint64_t>(v) != 0;
+}
+
+/// One lane of a packed group, x := A^-1 x, in DenseLU::solve's order: swap
+/// and eliminate column 0, swap and eliminate column 1, then back-substitute
+/// from row 2 up.
+template <class T>
+inline void lu3_solve_lane(const T* c, int l, T& x0, T& x1, T& x2) {
+  constexpr int kL = PackedLU3T<T>::kLanes;
+  if (mask_set(c[kL * 9 + l])) std::swap(x0, x1);
+  if (mask_set(c[kL * 10 + l])) std::swap(x0, x2);
+  x1 -= c[kL * 0 + l] * x0;  // l10
+  x2 -= c[kL * 1 + l] * x0;  // l20
+  if (mask_set(c[kL * 11 + l])) std::swap(x1, x2);
+  x2 -= c[kL * 2 + l] * x1;  // l21
+  x2 /= c[kL * 8 + l];       // u22
+  x0 -= c[kL * 5 + l] * x2;  // u02
+  x1 -= c[kL * 7 + l] * x2;  // u12
+  x1 /= c[kL * 6 + l];       // u11
+  x0 -= c[kL * 4 + l] * x1;  // u01
+  x0 /= c[kL * 3 + l];       // u00
+}
+
+}  // namespace detail
+
+/// Portable in-place batched solve: y[3*start[g] ..] := A^-1 y for every
+/// packed unit, bit-identical to one DenseLU::solve (fp64) or
+/// DenseSolveT<float>::solve (fp32) per unit.
+template <class T>
+inline void solve_lu3(const PackedLU3T<T>& p, T* y) {
+  for (std::size_t g = 0; g < p.start.size(); ++g) {
+    T* yd = y + 3 * static_cast<std::size_t>(p.start[g]);
+    const T* c = p.coef.data() + PackedLU3T<T>::kGroupCoefs * g;
+    for (int l = 0; l < p.cnt[g]; ++l) {
+      T* x = yd + 3 * l;
+      detail::lu3_solve_lane(c, l, x[0], x[1], x[2]);
+    }
+  }
+}
+
+/// Portable batched solve-and-subtract: z[rows] -= A^-1 w[rows] for every
+/// packed unit; `w` is read only.
+template <class T>
+inline void solve_lu3_sub(const PackedLU3T<T>& p, const T* w, T* z) {
+  for (std::size_t g = 0; g < p.start.size(); ++g) {
+    const std::size_t off = 3 * static_cast<std::size_t>(p.start[g]);
+    const T* c = p.coef.data() + PackedLU3T<T>::kGroupCoefs * g;
+    for (int l = 0; l < p.cnt[g]; ++l) {
+      const T* wl = w + off + 3 * static_cast<std::size_t>(l);
+      T x0 = wl[0], x1 = wl[1], x2 = wl[2];
+      detail::lu3_solve_lane(c, l, x0, x1, x2);
+      T* zl = z + off + 3 * static_cast<std::size_t>(l);
+      zl[0] -= x0;
+      zl[1] -= x1;
+      zl[2] -= x2;
+    }
   }
 }
 

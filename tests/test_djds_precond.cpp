@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "contact/penalty.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
+#include "par/par.hpp"
+#include "plan/plan.hpp"
 #include "precond/djds_bic.hpp"
 #include "precond/sb_bic0.hpp"
 #include "reorder/coloring.hpp"
 #include "reorder/djds.hpp"
+#include "simd/simd.hpp"
 #include "solver/cg.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +21,7 @@ namespace gc = geofem::contact;
 namespace gf = geofem::fem;
 namespace gm = geofem::mesh;
 namespace gp = geofem::precond;
+namespace gplan = geofem::plan;
 namespace gr = geofem::reorder;
 namespace gs = geofem::sparse;
 
@@ -73,7 +79,146 @@ std::pair<int, double> solve_djds(const Fixture& f, const gr::DJDSMatrix& dj,
   return {res.iterations, std::sqrt(num / den)};
 }
 
+/// Test-local reference of the original PDJDS SB-BIC(0) algorithm: unit
+/// factors from sb_factor_diagonals on the matrix permuted into the DJDS
+/// ordering, jagged sweeps one diagonal at a time, and one generic
+/// DenseLU::solve per ordering unit — serially, chunk by chunk.
+struct PermutedReference {
+  struct Unit {
+    int start;
+    int size;
+  };
+  std::vector<std::vector<Unit>> chunk_units;
+  std::vector<gs::DenseLU> lu;  ///< by unit, ascending new row
+
+  PermutedReference(const gs::BlockCSR& a, const gr::DJDSMatrix& dj) {
+    const int nchunks = dj.num_colors() * dj.npe();
+    chunk_units.resize(static_cast<std::size_t>(nchunks));
+    gc::Supernodes units;
+    units.node_to_super.assign(static_cast<std::size_t>(dj.n()), -1);
+    for (int ch = 0; ch < nchunks; ++ch) {
+      for (int i = dj.chunk_begin()[static_cast<std::size_t>(ch)];
+           i < dj.chunk_begin()[static_cast<std::size_t>(ch) + 1];) {
+        const int r = dj.range_of_row(i);
+        const int size = r >= 0 ? dj.super_ranges()[static_cast<std::size_t>(r)].size : 1;
+        chunk_units[static_cast<std::size_t>(ch)].push_back({i, size});
+        std::vector<int> mem;
+        for (int t = 0; t < size; ++t) {
+          mem.push_back(i + t);
+          units.node_to_super[static_cast<std::size_t>(i + t)] = units.count();
+        }
+        units.members.push_back(std::move(mem));
+        i += size;
+      }
+    }
+    lu = gp::sb_factor_diagonals(gs::permute(a, dj.perm()), units);
+  }
+
+  void apply(const gr::DJDSMatrix& dj, const std::vector<double>& r,
+             std::vector<double>& z) const {
+    constexpr int kB = gs::kB, kBB = gs::kBB;
+    std::size_t id = 0;
+    std::vector<std::size_t> first_id;
+    for (const auto& cu : chunk_units) {
+      first_id.push_back(id);
+      id += cu.size();
+    }
+    for (int c = 0; c < dj.num_colors(); ++c) {
+      for (int p = 0; p < dj.npe(); ++p) {
+        const int ch = dj.chunk_index(c, p);
+        const int b = dj.chunk_begin()[static_cast<std::size_t>(ch)];
+        const int e = dj.chunk_begin()[static_cast<std::size_t>(ch) + 1];
+        for (int i = b * kB; i < e * kB; ++i)
+          z[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
+        const auto& part = dj.lower(ch);
+        for (int j = 0; j < part.num_jd(); ++j) {
+          const int s = part.jd_ptr[static_cast<std::size_t>(j)];
+          for (int t = s; t < part.jd_ptr[static_cast<std::size_t>(j) + 1]; ++t)
+            gs::b3_gemv_sub(
+                part.val.data() + static_cast<std::size_t>(t) * kBB,
+                z.data() + static_cast<std::size_t>(part.item[static_cast<std::size_t>(t)]) * kB,
+                z.data() + static_cast<std::size_t>(b + (t - s)) * kB);
+        }
+        std::size_t u = first_id[static_cast<std::size_t>(ch)];
+        for (const Unit& unit : chunk_units[static_cast<std::size_t>(ch)])
+          lu[u++].solve(z.data() + static_cast<std::size_t>(unit.start) * kB);
+      }
+    }
+    std::vector<double> w(z.size(), 0.0);
+    for (int c = dj.num_colors() - 1; c >= 0; --c) {
+      for (int p = 0; p < dj.npe(); ++p) {
+        const int ch = dj.chunk_index(c, p);
+        const int b = dj.chunk_begin()[static_cast<std::size_t>(ch)];
+        const auto& part = dj.upper(ch);
+        for (int j = 0; j < part.num_jd(); ++j) {
+          const int s = part.jd_ptr[static_cast<std::size_t>(j)];
+          for (int t = s; t < part.jd_ptr[static_cast<std::size_t>(j) + 1]; ++t)
+            gs::b3_gemv(
+                part.val.data() + static_cast<std::size_t>(t) * kBB,
+                z.data() + static_cast<std::size_t>(part.item[static_cast<std::size_t>(t)]) * kB,
+                w.data() + static_cast<std::size_t>(b + (t - s)) * kB);
+        }
+        std::size_t u = first_id[static_cast<std::size_t>(ch)];
+        for (const Unit& unit : chunk_units[static_cast<std::size_t>(ch)]) {
+          double* wu = w.data() + static_cast<std::size_t>(unit.start) * kB;
+          lu[u++].solve(wu);
+          double* zu = z.data() + static_cast<std::size_t>(unit.start) * kB;
+          for (int t = 0; t < unit.size * kB; ++t) zu[t] -= wu[t];
+        }
+      }
+    }
+  }
+};
+
+bool same_factor(const gs::DenseLU& x, const gs::DenseLU& y) {
+  const std::size_t nn = static_cast<std::size_t>(x.size()) * static_cast<std::size_t>(x.size());
+  return x.size() == y.size() && x.pivots() == y.pivots() &&
+         std::memcmp(x.factor(), y.factor(), nn * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 }  // namespace
+
+TEST(DJDSBIC, PlanBuiltFactorsAndApplyBitIdenticalToPermutedReference) {
+  // npe 8 gives more chunks per color than threads at every team size below.
+  Fixture f(1e4);
+  gplan::PlanConfig cfg;
+  cfg.precond = gplan::PrecondKind::kSBBIC0;
+  cfg.ordering = gplan::OrderingKind::kPDJDSMC;
+  cfg.colors = 8;
+  cfg.npe = 8;
+  const gplan::SolvePlan plan(f.sys.a, f.sn, cfg);
+  const gr::DJDSMatrix& dj = *plan.djds();
+  const PermutedReference ref(f.sys.a, dj);
+  const auto prec = plan.numeric(f.sys.a);
+  const auto& planned = dynamic_cast<const gp::DJDSBIC&>(*prec);
+  const gp::DJDSBIC direct(f.sys.a, dj);
+  EXPECT_EQ(planned.name(), "SB-BIC(0) PDJDS");
+
+  for (const gp::DJDSBIC* m : {&planned, &direct}) {
+    ASSERT_EQ(m->unit_factors().size(), ref.lu.size());
+    for (std::size_t u = 0; u < ref.lu.size(); ++u)
+      ASSERT_TRUE(same_factor(m->unit_factors()[u], ref.lu[u])) << "unit " << u;
+  }
+
+  const geofem::simd::IsaScope isa(geofem::simd::Isa::kOmpSimd);
+  const std::size_t n = f.sys.a.ndof();
+  geofem::util::Rng rng(11);
+  std::vector<double> r(n), zref(n);
+  for (double& v : r) v = rng.uniform(-1, 1);
+  ref.apply(dj, r, zref);
+  for (int team = 1; team <= 4; ++team) {
+    const geofem::par::TeamScope ts(team);
+    for (const gp::DJDSBIC* m : {&planned, &direct}) {
+      std::vector<double> z(n, -1.0);
+      m->apply(r, z, nullptr, nullptr);
+      EXPECT_TRUE(same_bits(z, zref)) << "team " << team;
+    }
+  }
+}
 
 TEST(DJDSBIC, SolvesContactProblem) {
   Fixture f(1e4);

@@ -110,13 +110,21 @@ TEST(HybridSerial, PDJDSOrderingBitIdenticalAcrossTeamSizes) {
   cfg.cg.record_residuals = true;
   cfg.use_plan_cache = false;
 
-  cfg.threads = 1;
-  const auto base = gcore::solve_system(pb.sys, sn, cfg);
-  EXPECT_TRUE(base.converged());
-  for (int t : {2, 4}) {
-    cfg.threads = t;
-    const auto rep = gcore::solve_system(pb.sys, sn, cfg);
-    expect_same_report(base, rep, "PDJDS");
+  // kSingle pins the fp32-staged single-region sweeps alongside the fp64 ones.
+  using geofem::precond::Precision;
+  for (auto precision : {Precision::kDouble, Precision::kSingle}) {
+    cfg.precision = precision;
+    cfg.threads = 1;
+    const auto base = gcore::solve_system(pb.sys, sn, cfg);
+    EXPECT_TRUE(base.converged());
+    EXPECT_EQ(base.precond.precision, precision);
+    EXPECT_EQ(base.precision_fallbacks, 0);
+    for (int t : {2, 4}) {
+      cfg.threads = t;
+      const auto rep = gcore::solve_system(pb.sys, sn, cfg);
+      expect_same_report(base, rep,
+                         precision == Precision::kSingle ? "PDJDS fp32" : "PDJDS");
+    }
   }
 }
 

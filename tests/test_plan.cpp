@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "contact/penalty.hpp"
@@ -11,6 +14,7 @@
 #include "dist/dist_solver.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
+#include "obs/registry.hpp"
 #include "part/local_system.hpp"
 #include "part/partition.hpp"
 #include "plan/cache.hpp"
@@ -225,6 +229,42 @@ TEST(Plan, VectorizedPDJDSWarmMatchesCold) {
   ASSERT_EQ(rep_cold.solution.size(), rep_warm.solution.size());
   for (std::size_t i = 0; i < rep_cold.solution.size(); ++i)
     EXPECT_EQ(rep_cold.solution[i], rep_warm.solution[i]);
+}
+
+TEST(Plan, WarmPDJDSNumericRunsNoSymbolicWork) {
+  // The PDJDS plan holds the DJDSBIC symbolic (unit split, selective-block
+  // gather schedule, loop statistics): a warm numeric phase is refill +
+  // factor + pack, with no schedule rebuilt.
+  Problem pb(1e6);
+  const auto sn = gc::build_supernodes(pb.sys.a.n, pb.mesh.contact_groups);
+  auto cfg = config_for(gplan::PrecondKind::kSBBIC0);
+  cfg.ordering = gplan::OrderingKind::kPDJDSMC;
+  cfg.colors = 4;
+  cfg.npe = 2;
+  geofem::obs::Registry cold_reg;
+  std::unique_ptr<gplan::SolvePlan> plan;
+  {
+    geofem::obs::Attach attach(&cold_reg);
+    plan = std::make_unique<gplan::SolvePlan>(pb.sys.a, sn, cfg);
+  }
+  auto names = [](const geofem::obs::Registry& reg) {
+    std::vector<std::string> out;
+    for (const auto& sp : reg.snapshot().spans) out.push_back(sp.name);
+    return out;
+  };
+  const auto cold = names(cold_reg);
+  EXPECT_NE(std::find(cold.begin(), cold.end(), "precond.symbolic.SB-BIC(0)"), cold.end());
+
+  geofem::obs::Registry warm_reg;
+  {
+    geofem::obs::Attach attach(&warm_reg);
+    const auto prec = plan->numeric(pb.sys.a);
+    ASSERT_NE(prec, nullptr);
+  }
+  const auto warm = names(warm_reg);
+  EXPECT_NE(std::find(warm.begin(), warm.end(), "plan.numeric"), warm.end());
+  EXPECT_NE(std::find(warm.begin(), warm.end(), "precond.numeric.SB-BIC(0)"), warm.end());
+  for (const auto& n : warm) EXPECT_EQ(n.find("symbolic"), std::string::npos) << n;
 }
 
 TEST(Plan, CoreSolveReportsCacheCounters) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "contact/penalty.hpp"
@@ -274,6 +275,117 @@ TEST(PackedLU3Avx2, BatchedSolveMatchesDenseLU) {
 }
 
 #endif  // GEOFEM_SIMD_HAS_AVX2
+
+// ---------------------------------------------------------------------------
+// Portable PackedLU3 solves (every tier): bitwise replay of the generic solve
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Random 3x3 factors covering all six pivot patterns (piv0 in {0,1,2} x
+/// piv1 in {1,2}), `per` of each, ordered pattern by pattern.
+std::vector<sp::DenseLU> lu3_all_pivot_patterns(int per) {
+  Lcg rng;
+  std::vector<std::vector<sp::DenseLU>> by_pattern(6);
+  for (int tries = 0; tries < 10000; ++tries) {
+    double a[9];
+    for (double& v : a) v = rng.next();
+    sp::DenseLU lu;
+    if (!lu.factor(a, 3)) continue;
+    auto& bucket = by_pattern[static_cast<std::size_t>(2 * lu.pivots()[0] + lu.pivots()[1] - 1)];
+    if (static_cast<int>(bucket.size()) < per) bucket.push_back(lu);
+  }
+  std::vector<sp::DenseLU> out;
+  for (const auto& bucket : by_pattern) {
+    EXPECT_EQ(static_cast<int>(bucket.size()), per);
+    out.insert(out.end(), bucket.begin(), bucket.end());
+  }
+  return out;
+}
+
+/// Pack `lus` as consecutive singleton units from row 0; the last group is
+/// partial unless the count is a lane multiple.
+template <class T>
+simd::PackedLU3T<T> pack_all(const std::vector<sp::DenseLU>& lus) {
+  constexpr int kL = simd::PackedLU3T<T>::kLanes;
+  const int n = static_cast<int>(lus.size());
+  simd::PackedLU3T<T> pack;
+  for (int g = 0; g < n; g += kL) {
+    const int cnt = std::min(kL, n - g);
+    const sp::DenseLU* ptr[kL] = {};
+    for (int l = 0; l < cnt; ++l) ptr[l] = &lus[static_cast<std::size_t>(g + l)];
+    simd::pack_lu3_group(pack, ptr, cnt, g);
+  }
+  return pack;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+}  // namespace
+
+TEST(PackedLU3, PortableSolveBitIdenticalToDenseLU) {
+  // 13 units = 3 full 4-lane groups + a partial group of 1.
+  auto lus = lu3_all_pivot_patterns(2);
+  lus.push_back(lus.front());
+  const int n = static_cast<int>(lus.size());
+  const auto pack = pack_all<double>(lus);
+  ASSERT_EQ(pack.cnt.back(), 1);
+
+  Lcg rng;
+  std::vector<double> y(3 * static_cast<std::size_t>(n + 1));  // + sentinel row
+  for (double& v : y) v = rng.next();
+  std::vector<double> ref = y, out = y;
+  for (int u = 0; u < n; ++u) lus[static_cast<std::size_t>(u)].solve(ref.data() + 3 * u);
+  simd::solve_lu3(pack, out.data());
+  EXPECT_TRUE(same_bits(ref, out));
+
+  std::vector<double> w(y.size()), z(y.size());
+  for (double& v : w) v = rng.next();
+  for (double& v : z) v = rng.next();
+  std::vector<double> zref = z, wtmp = w, zout = z;
+  for (int u = 0; u < n; ++u) {
+    lus[static_cast<std::size_t>(u)].solve(wtmp.data() + 3 * u);
+    for (int c = 0; c < 3; ++c)
+      zref[static_cast<std::size_t>(3 * u + c)] -= wtmp[static_cast<std::size_t>(3 * u + c)];
+  }
+  const std::vector<double> w_before = w;
+  simd::solve_lu3_sub(pack, w.data(), zout.data());
+  EXPECT_TRUE(same_bits(zref, zout));
+  EXPECT_TRUE(same_bits(w_before, w));
+}
+
+TEST(PackedLU3, PortableFloatSolveBitIdenticalToDenseSolve) {
+  // 12 units = 1 full 8-lane group + a partial group of 4.
+  const auto lus = lu3_all_pivot_patterns(2);
+  const int n = static_cast<int>(lus.size());
+  const auto pack = pack_all<float>(lus);
+  ASSERT_EQ(pack.cnt.back(), 4);
+  std::vector<sp::DenseSolveT<float>> narrow;
+  for (const auto& lu : lus) narrow.emplace_back(lu);
+
+  Lcg rng;
+  std::vector<float> y(3 * static_cast<std::size_t>(n + 1));
+  for (float& v : y) v = static_cast<float>(rng.next());
+  std::vector<float> ref = y, out = y;
+  for (int u = 0; u < n; ++u) narrow[static_cast<std::size_t>(u)].solve(ref.data() + 3 * u);
+  simd::solve_lu3(pack, out.data());
+  EXPECT_TRUE(same_bits(ref, out));
+
+  std::vector<float> w(y.size()), z(y.size());
+  for (float& v : w) v = static_cast<float>(rng.next());
+  for (float& v : z) v = static_cast<float>(rng.next());
+  std::vector<float> zref = z, wtmp = w, zout = z;
+  for (int u = 0; u < n; ++u) {
+    narrow[static_cast<std::size_t>(u)].solve(wtmp.data() + 3 * u);
+    for (int c = 0; c < 3; ++c)
+      zref[static_cast<std::size_t>(3 * u + c)] -= wtmp[static_cast<std::size_t>(3 * u + c)];
+  }
+  simd::solve_lu3_sub(pack, w.data(), zout.data());
+  EXPECT_TRUE(same_bits(zref, zout));
+}
 
 // ---------------------------------------------------------------------------
 // Whole-kernel equivalence: active tier vs scalar reference, same binary
