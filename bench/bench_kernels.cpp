@@ -20,7 +20,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,9 +52,11 @@ struct Fixture {
   geofem::fem::System sys;
   geofem::contact::Supernodes sn;
 
-  Fixture() {
-    const int n = tiny() ? 5 : 11;
-    mesh = geofem::mesh::simple_block({n, n, n * 3 / 4, n, n});
+  Fixture() : Fixture(tiny() ? std::array<int, 5>{5, 5, 3, 5, 5}
+                             : std::array<int, 5>{11, 11, 8, 11, 11}) {}
+
+  explicit Fixture(std::array<int, 5> dims) {
+    mesh = geofem::mesh::simple_block({dims[0], dims[1], dims[2], dims[3], dims[4]});
     sys = geofem::fem::assemble_elasticity(mesh, {{1.0, 0.3}});
     geofem::contact::add_penalty(sys.a, mesh.contact_groups, 1e6);
     geofem::fem::BoundaryConditions bc;
@@ -120,7 +124,9 @@ double apply_bytes(std::size_t precond_bytes, std::size_t ndof) {
   return static_cast<double>(precond_bytes) + 16.0 * static_cast<double>(ndof);
 }
 
-void run_comparison(geofem::obs::Registry& reg, int argc, char** argv) {
+/// Prints the comparison tables; false when a column of an SB-BIC(0)
+/// apply_multi differs from its single apply in the scalar tier.
+bool run_comparison(geofem::obs::Registry& reg, int argc, char** argv) {
   namespace simd = geofem::simd;
   using geofem::util::FlopCounter;
   const auto& f = fixture();
@@ -305,7 +311,60 @@ void run_comparison(geofem::obs::Registry& reg, int argc, char** argv) {
     }
   }
   mtable.print();
-  bench::emit_json(reg, "kernels", argc, argv, {&table, &mtable});
+
+  // -------------------------------------------------------------------------
+  // Natural-ordering SB-BIC(0) apply_multi on the 6/6/4/6/6 block (the
+  // service model): per-column time of one k-column apply against k single
+  // applies, active tier. k = 2..4 run the fixed-width kernels. Gate: in the
+  // scalar tier every column must equal its single apply bitwise.
+  // -------------------------------------------------------------------------
+  const Fixture svc_model({6, 6, 4, 6, 6});
+  const auto& sa = svc_model.sys.a;
+  const geofem::precond::SBBIC0 sb_svc(sa, svc_model.sn);
+  const std::size_t sdof = sa.ndof();
+  simd::aligned_vector<double> r1(sdof, 1.0), z1(sdof);
+  bool sb_multi_bitwise = true;
+  geofem::util::Table btable({"kernel", "k", "k single applies us/col",
+                              "apply_multi us/col", "ratio", "scalar columns bitwise"});
+  std::cout << "\n== SB-BIC(0) apply_multi vs k single applies (" << simd::active_isa()
+            << ", " << sdof << " DOF) ==\n\n";
+  for (const int k : {1, 2, 3, 4}) {
+    std::vector<double> rm(sdof * static_cast<std::size_t>(k)), zm(rm.size());
+    for (std::size_t i = 0; i < rm.size(); ++i)
+      rm[i] = 1.0 + 1e-3 * static_cast<double>((i * 7919) % 101);
+    const double sec_seq = time_kernel(
+        [&] {
+          for (int c = 0; c < k; ++c) sb_svc.apply(r1, z1, nullptr, nullptr);
+        },
+        reps);
+    const double sec_multi =
+        time_kernel([&] { sb_svc.apply_multi(rm, zm, k, nullptr, nullptr); }, reps);
+    bool same = true;
+    {
+      simd::IsaScope scalar(simd::Isa::kScalar);
+      sb_svc.apply_multi(rm, zm, k, nullptr, nullptr);
+      std::vector<double> rc(sdof), zc(sdof);
+      for (int c = 0; c < k; ++c) {
+        for (std::size_t i = 0; i < sdof; ++i) rc[i] = rm[i * static_cast<std::size_t>(k) + c];
+        sb_svc.apply(rc, zc, nullptr, nullptr);
+        for (std::size_t i = 0; i < sdof; ++i)
+          same = same && std::memcmp(&zc[i], &zm[i * static_cast<std::size_t>(k) + c],
+                                     sizeof(double)) == 0;
+      }
+    }
+    sb_multi_bitwise = sb_multi_bitwise && same;
+    const double us_seq = 1e6 * sec_seq / k;
+    const double us_multi = 1e6 * sec_multi / k;
+    btable.row({"SB-BIC(0) apply_multi", std::to_string(k), geofem::util::Table::fmt(us_seq, 1),
+                geofem::util::Table::fmt(us_multi, 1),
+                geofem::util::Table::fmt(sec_seq / sec_multi, 2) + "x", same ? "yes" : "NO"});
+    const std::string slug = "kernels.sbbic0_multi.k" + std::to_string(k);
+    reg.gauge(slug + ".us_per_col")->set(us_multi);
+    reg.gauge(slug + ".single_us_per_col")->set(us_seq);
+  }
+  btable.print();
+  bench::emit_json(reg, "kernels", argc, argv, {&table, &mtable, &btable});
+  return sb_multi_bitwise;
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +512,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  run_comparison(reg, argc, argv);
+  if (!run_comparison(reg, argc, argv)) {
+    std::cerr << "[bench] FAIL: a scalar-tier SB-BIC(0) apply_multi column differs from its "
+                 "single apply\n";
+    return 1;
+  }
 
   if (tiny()) {
     // Gate: both precision series must have produced numbers — a build that

@@ -42,7 +42,7 @@ SolvePlan::SolvePlan(const sparse::BlockCSR& a, const contact::Supernodes& sn,
         iluk_ = precond::iluk_symbolic(a, 2);
         break;
       case PrecondKind::kSBBIC0:
-        sb_ = precond::sb_symbolic(a, sn_);
+        sb_ = precond::sbbic0_symbolic(a, sn_);
         break;
     }
   } else {

@@ -22,10 +22,10 @@ namespace geofem::plan {
 /// Everything structure-dependent about one linear system, built once and
 /// reused across numeric refactorizations: the graph fingerprint, the owned
 /// supernode map, the preconditioner's symbolic pattern (level-of-fill,
-/// selective-block schedule, scalar expansion) and — on the PDJDS orderings —
-/// the coloring, the jagged-diagonal layout and the DJDSBIC symbolic (unit
-/// split, gather schedule, loop statistics), so a PDJDS numeric() is
-/// refill + factor + pack.
+/// SB-BIC(0) factor schedule and sweep lists, scalar expansion) and — on the
+/// PDJDS orderings — the coloring, the jagged-diagonal layout and the DJDSBIC
+/// symbolic (unit split, gather schedule, loop statistics), so a PDJDS
+/// numeric() is refill + factor + pack.
 ///
 /// numeric() revalues the plan against a matrix with the *same graph* and
 /// returns a freshly factored preconditioner. The natural-ordering kinds only
@@ -94,7 +94,7 @@ class SolvePlan {
   // symbolic state, one non-null per kind (none for Diagonal / BIC(0))
   std::shared_ptr<const precond::ILUkSymbolic> iluk_;
   std::shared_ptr<const precond::ScalarIC0Symbolic> ic0_;
-  std::shared_ptr<const precond::SBSymbolic> sb_;
+  std::shared_ptr<const precond::SBBIC0Symbolic> sb_;
   // PDJDS orderings: plan-owned layout, revalued in place by numeric(), and
   // the preconditioner's structure on it (units, gather schedule, stats)
   std::unique_ptr<reorder::DJDSMatrix> dj_;

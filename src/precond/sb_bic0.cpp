@@ -1,11 +1,13 @@
 #include "precond/sb_bic0.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "core/status.hpp"
 #include "obs/span.hpp"
 #include "simd/block3.hpp"
+#include "simd/lu3.hpp"
 #include "simd/multirhs.hpp"
 #include "util/check.hpp"
 
@@ -26,6 +28,73 @@ std::size_t SBSymbolic::memory_bytes() const {
              sizeof(int) +
          (intra_ptr.size() + intra_off.size() + gather_ptr.size() + gather_off.size()) *
              sizeof(std::int64_t);
+}
+
+std::size_t SBBIC0Symbolic::memory_bytes() const {
+  return (sb ? sb->memory_bytes() : 0) +
+         (fwd.rows.size() + fwd.level_ptr.size() + bwd.rows.size() + bwd.level_ptr.size() +
+          row_ptr.size() + row_node.size() + lower_ptr.size() + upper_ptr.size()) *
+             sizeof(int) +
+         (lower.size() + upper.size()) * sizeof(Coupling) +
+         apply_loops.entries().size() * sizeof(util::LoopStats::Entry);
+}
+
+std::shared_ptr<const SBBIC0Symbolic> sbbic0_symbolic(const sparse::BlockCSR& a,
+                                                      const contact::Supernodes& sn,
+                                                      bool modified) {
+  auto out = std::make_shared<SBBIC0Symbolic>();
+  SBBIC0Symbolic& sym = *out;
+  sym.sb = sb_symbolic(a, sn, modified);
+  // Member rows split into lower / upper coupling lists (row entry order),
+  // supernode dependency levels of both sweeps, and the loop lengths one
+  // apply reports.
+  const int ns = sn.count();
+  sym.row_ptr.assign(static_cast<std::size_t>(ns) + 1, 0);
+  sym.row_node.reserve(static_cast<std::size_t>(a.n));
+  sym.lower_ptr.assign(1, 0);
+  sym.upper_ptr.assign(1, 0);
+  // Forward: split every member row, level = 1 + deepest earlier neighbour;
+  // one loop of (lower couplings + 1) per supernode, ascending.
+  std::vector<int> lev(static_cast<std::size_t>(ns), 0);
+  for (int s = 0; s < ns; ++s) {
+    const std::size_t q0 = sym.row_node.size();
+    int l = 0;
+    for (int i : sn.members[static_cast<std::size_t>(s)]) {
+      sym.row_node.push_back(i);
+      for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
+        const int j = a.colind[e];
+        const int sj = sn.node_to_super[static_cast<std::size_t>(j)];
+        if (sj < s) {
+          sym.lower.push_back({e, j});
+          l = std::max(l, lev[static_cast<std::size_t>(sj)] + 1);
+        } else if (sj > s) {
+          sym.upper.push_back({e, j});
+        }
+      }
+      sym.lower_ptr.push_back(static_cast<int>(sym.lower.size()));
+      sym.upper_ptr.push_back(static_cast<int>(sym.upper.size()));
+    }
+    const std::size_t q1 = sym.row_node.size();
+    sym.row_ptr[static_cast<std::size_t>(s) + 1] = static_cast<int>(q1);
+    lev[static_cast<std::size_t>(s)] = l;
+    sym.apply_loops.record(sym.lower_ptr[q1] - sym.lower_ptr[q0] + 1);
+  }
+  sym.fwd = par::schedule_from_levels(lev);
+  // Backward: the same over later neighbours, descending.
+  for (int s = ns - 1; s >= 0; --s) {
+    const auto q0 = static_cast<std::size_t>(sym.row_ptr[static_cast<std::size_t>(s)]);
+    const auto q1 = static_cast<std::size_t>(sym.row_ptr[static_cast<std::size_t>(s) + 1]);
+    int l = 0;
+    for (int p = sym.upper_ptr[q0]; p < sym.upper_ptr[q1]; ++p) {
+      const int sj =
+          sn.node_to_super[static_cast<std::size_t>(sym.upper[static_cast<std::size_t>(p)].col)];
+      l = std::max(l, lev[static_cast<std::size_t>(sj)] + 1);
+    }
+    lev[static_cast<std::size_t>(s)] = l;
+    sym.apply_loops.record(sym.upper_ptr[q1] - sym.upper_ptr[q0] + 1);
+  }
+  sym.bwd = par::schedule_from_levels(lev);
+  return out;
 }
 
 std::shared_ptr<const SBSymbolic> sb_symbolic(const sparse::BlockCSR& a,
@@ -177,146 +246,156 @@ std::vector<sparse::DenseLU> sb_factor_diagonals(const sparse::BlockCSR& a,
   return sb_factor_numeric(a, *sb_symbolic(a, sn, modified));
 }
 
-SBBIC0::SBBIC0(const sparse::BlockCSR& a, contact::Supernodes sn, bool modified,
+SBBIC0::SBBIC0(const sparse::BlockCSR& a, const contact::Supernodes& sn, bool modified,
                Precision precision)
-    : a_(a), sn_(std::move(sn)), precision_(precision) {
+    : SBBIC0(a, sn, sbbic0_symbolic(a, sn, modified), precision) {}
+
+SBBIC0::SBBIC0(const sparse::BlockCSR& a, const contact::Supernodes& sn,
+               std::shared_ptr<const SBBIC0Symbolic> sym, Precision precision)
+    : a_(a), sym_(std::move(sym)), precision_(precision) {
+  GEOFEM_CHECK(sym_ && sym_->sb->n == a.n &&
+                   sym_->sb->dims.size() == static_cast<std::size_t>(sn.count()),
+               "SBBIC0: symbolic/matrix/supernode mismatch");
   obs::ScopedSpan span("precond.factor.SB-BIC(0)");
-  for (const auto& mem : sn_.members)
-    max_block_ = std::max(max_block_, static_cast<int>(mem.size()));
-  lu_ = sb_factor_diagonals(a, sn_, modified);
-  build_schedules();
-  narrow_storage();
+  lu_ = sb_factor_numeric(a, *sym_->sb);
+  store_factors();
 }
 
-SBBIC0::SBBIC0(const sparse::BlockCSR& a, contact::Supernodes sn,
-               std::shared_ptr<const SBSymbolic> sym, Precision precision)
-    : a_(a), sn_(std::move(sn)), precision_(precision) {
-  GEOFEM_CHECK(sym && sym->n == a.n, "SBBIC0: symbolic/matrix size mismatch");
-  obs::ScopedSpan span("precond.factor.SB-BIC(0)");
-  for (const auto& mem : sn_.members)
-    max_block_ = std::max(max_block_, static_cast<int>(mem.size()));
-  lu_ = sb_factor_numeric(a, *sym);
-  build_schedules();
-  narrow_storage();
-}
-
-void SBBIC0::narrow_storage() {
+void SBBIC0::store_factors() {
+  const std::size_t ns = lu_.size();
   lu_solve_flops_ = 0.0;
   for (const auto& lu : lu_) lu_solve_flops_ += lu.solve_flops();
-  if (precision_ != Precision::kSingle) return;
-  // Narrow the per-supernode dense factors and the matrix value mirror the
-  // sweeps stream; the fp64 factors are dropped — an fp32 build that cannot
-  // represent them is a breakdown, not a silent fallback.
-  lu32_.reserve(lu_.size());
-  for (const auto& lu : lu_) {
-    lu32_.emplace_back(lu);
-    if (lu32_.back().overflowed())
-      throw Error(StatusCode::kFactorizationFailed,
-                  "fp32 narrowing overflow in selective-block factors");
+  // Singleton factors move into packed records at the stored precision and
+  // their DenseLU objects are released; only multi-node supernodes keep a
+  // generic solver. An fp32 build that cannot represent a factor is a
+  // breakdown, not a silent fallback.
+  const bool single = precision_ == Precision::kSingle;
+  auto overflow = [] {
+    return Error(StatusCode::kFactorizationFailed,
+                 "fp32 narrowing overflow in selective-block factors");
+  };
+  if (single)
+    lu3f_.assign(ns * simd::kLu3Coefs, 0.0f);
+  else
+    lu3_.assign(ns * simd::kLu3Coefs, 0.0);
+  for (std::size_t s = 0; s < ns; ++s) {
+    if (sym_->sb->dims[s] != kB) continue;
+    if (single) {
+      const double* f = lu_[s].factor();
+      for (int m = 0; m < kBB; ++m)
+        if (std::isfinite(f[m]) && !std::isfinite(static_cast<float>(f[m]))) throw overflow();
+      simd::pack_lu3(lu_[s], lu3f_.data() + s * simd::kLu3Coefs);
+    } else {
+      simd::pack_lu3(lu_[s], lu3_.data() + s * simd::kLu3Coefs);
+    }
+    lu_[s] = sparse::DenseLU{};
+  }
+  if (!single) return;
+  // Narrow the multi-node factors and the matrix value mirror the sweeps
+  // stream; the fp64 factors are dropped.
+  lu32_.resize(ns);
+  for (std::size_t s = 0; s < ns; ++s) {
+    if (sym_->sb->dims[s] == kB) continue;
+    lu32_[s] = sparse::DenseSolveT<float>(lu_[s]);
+    if (lu32_[s].overflowed()) throw overflow();
   }
   narrow_or_throw(std::span<const double>(a_.val.data(), a_.val.size()), aval32_);
   lu_.clear();
   lu_.shrink_to_fit();
 }
 
-void SBBIC0::build_schedules() {
-  // Supernode dependency levels for the hybrid apply, plus the structural
-  // per-supernode coupling counts the apply reports as loop/FLOP stats.
-  const int ns = sn_.count();
-  fwd_len_.assign(static_cast<std::size_t>(ns), 0);
-  bwd_len_.assign(static_cast<std::size_t>(ns), 0);
-  std::vector<int> lev(static_cast<std::size_t>(ns), 0);
-  for (int s = 0; s < ns; ++s) {
-    int l = 0, len = 0;
-    for (int i : sn_.members[static_cast<std::size_t>(s)]) {
-      for (int e = a_.rowptr[i]; e < a_.rowptr[i + 1]; ++e) {
-        const int sj = sn_.node_to_super[static_cast<std::size_t>(a_.colind[e])];
-        if (sj >= s) continue;
-        l = std::max(l, lev[static_cast<std::size_t>(sj)] + 1);
-        ++len;
-      }
-    }
-    lev[static_cast<std::size_t>(s)] = l;
-    fwd_len_[static_cast<std::size_t>(s)] = len;
+namespace {
+
+/// Staging for one selective block's rows during a sweep: on the stack up
+/// to kStackDoubles, on the heap beyond (only supernodes of hundreds of
+/// DOF at wide batches). Nothing outlives the supernode it serves, so the
+/// sweeps keep no per-thread state.
+class UnitScratch {
+ public:
+  explicit UnitScratch(std::size_t n) : p_(n <= kStackDoubles ? buf_ : grow(n)) {}
+  UnitScratch(const UnitScratch&) = delete;  // p_ may point into buf_
+  UnitScratch& operator=(const UnitScratch&) = delete;
+  [[nodiscard]] double* data() { return p_; }
+
+ private:
+  static constexpr std::size_t kStackDoubles = 1024;
+  double* grow(std::size_t n) {
+    heap_.resize(n);
+    return heap_.data();
   }
-  fwd_ = par::schedule_from_levels(lev);
-  for (int s = ns - 1; s >= 0; --s) {
-    int l = 0, len = 0;
-    for (int i : sn_.members[static_cast<std::size_t>(s)]) {
-      for (int e = a_.rowptr[i]; e < a_.rowptr[i + 1]; ++e) {
-        const int sj = sn_.node_to_super[static_cast<std::size_t>(a_.colind[e])];
-        if (sj <= s) continue;
-        l = std::max(l, lev[static_cast<std::size_t>(sj)] + 1);
-        ++len;
-      }
-    }
-    lev[static_cast<std::size_t>(s)] = l;
-    bwd_len_[static_cast<std::size_t>(s)] = len;
-  }
-  bwd_ = par::schedule_from_levels(lev);
-  coupled_ = 0;
-  for (int s = 0; s < ns; ++s)
-    coupled_ += static_cast<std::uint64_t>(fwd_len_[static_cast<std::size_t>(s)]) +
-                static_cast<std::uint64_t>(bwd_len_[static_cast<std::size_t>(s)]);
+  double buf_[kStackDoubles];
+  std::vector<double> heap_;
+  double* p_;
+};
+
+/// Dense solve of one selective block: the packed 3x3 replay for
+/// singletons, the generic n x n solver otherwise.
+template <class T, class Lu>
+inline void solve_unit(const SBSymbolic& sb, const Lu& lu, const T* lu3, int s, double* x) {
+  if (sb.dims[static_cast<std::size_t>(s)] == kB)
+    simd::solve_lu3_unit(lu3 + static_cast<std::size_t>(s) * simd::kLu3Coefs, x);
+  else
+    lu.solve(x);
 }
 
+}  // namespace
+
 template <class Acc, class T, class LuVec>
-void SBBIC0::apply_impl(const T* aval, const LuVec& lus, const double* r, double* z,
-                        int team) const {
-  const auto& a = a_;
-  const auto& sn = sn_;
-  // Each thread reuses one staging buffer; its content is fully rewritten per
-  // supernode. DenseLU::solve is const and safe to call concurrently.
-  static thread_local std::vector<double> acc;
+void SBBIC0::apply_impl(const T* aval, const LuVec& lus, const T* lu3, const double* r,
+                        double* z, int team) const {
+  const SBBIC0Symbolic& sym = *sym_;
+  const int* rows = sym.row_node.data();
   // forward: z_S = D~_S^-1 (r_S - sum_{K<S} A_SK z_K). Supernodes of one
   // dependency level are independent; per-supernode arithmetic is the serial
   // sweep's (for the accumulator in use), so the result is bit-identical for
-  // any team size.
-  par::for_levels(fwd_, team, [&](int s) {
-    const auto& mem = sn.members[static_cast<std::size_t>(s)];
-    const int dim = kB * static_cast<int>(mem.size());
-    acc.assign(static_cast<std::size_t>(dim), 0.0);
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      const int i = mem[t];
+  // any team size. Each member row streams only its plan-held lower list.
+  par::for_levels(sym.fwd, team, [&](int s) {
+    const int q0 = sym.row_ptr[static_cast<std::size_t>(s)];
+    const int q1 = sym.row_ptr[static_cast<std::size_t>(s) + 1];
+    UnitScratch acc(static_cast<std::size_t>(kB) * static_cast<std::size_t>(q1 - q0));
+    for (int q = q0; q < q1; ++q) {
       Acc ai;
-      ai.init(r + static_cast<std::size_t>(i) * kB);
-      for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
-        const int j = a.colind[e];
-        if (sn.node_to_super[static_cast<std::size_t>(j)] >= s) continue;
-        ai.msub(aval + static_cast<std::size_t>(e) * kBB, z + static_cast<std::size_t>(j) * kB);
+      ai.init(r + static_cast<std::size_t>(rows[q]) * kB);
+      for (int p = sym.lower_ptr[static_cast<std::size_t>(q)];
+           p < sym.lower_ptr[static_cast<std::size_t>(q) + 1]; ++p) {
+        const auto& c = sym.lower[static_cast<std::size_t>(p)];
+        ai.msub(aval + static_cast<std::size_t>(c.entry) * kBB,
+                z + static_cast<std::size_t>(c.col) * kB);
       }
-      ai.reduce(acc.data() + t * kB);
+      ai.reduce(acc.data() + static_cast<std::size_t>(q - q0) * kB);
     }
-    lus[static_cast<std::size_t>(s)].solve(acc.data());
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      double* zi = z + static_cast<std::size_t>(mem[t]) * kB;
-      zi[0] = acc[t * kB];
-      zi[1] = acc[t * kB + 1];
-      zi[2] = acc[t * kB + 2];
+    solve_unit(*sym.sb, lus[static_cast<std::size_t>(s)], lu3, s, acc.data());
+    for (int q = q0; q < q1; ++q) {
+      double* zi = z + static_cast<std::size_t>(rows[q]) * kB;
+      const double* at = acc.data() + static_cast<std::size_t>(q - q0) * kB;
+      zi[0] = at[0];
+      zi[1] = at[1];
+      zi[2] = at[2];
     }
   });
   // backward: z_S -= D~_S^-1 sum_{K>S} A_SK z_K
-  par::for_levels(bwd_, team, [&](int s) {
-    const auto& mem = sn.members[static_cast<std::size_t>(s)];
-    const int dim = kB * static_cast<int>(mem.size());
-    acc.assign(static_cast<std::size_t>(dim), 0.0);
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      const int i = mem[t];
+  par::for_levels(sym.bwd, team, [&](int s) {
+    const int q0 = sym.row_ptr[static_cast<std::size_t>(s)];
+    const int q1 = sym.row_ptr[static_cast<std::size_t>(s) + 1];
+    UnitScratch acc(static_cast<std::size_t>(kB) * static_cast<std::size_t>(q1 - q0));
+    for (int q = q0; q < q1; ++q) {
       Acc ai;
       ai.init_zero();
-      for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
-        const int j = a.colind[e];
-        if (sn.node_to_super[static_cast<std::size_t>(j)] <= s) continue;
-        ai.madd(aval + static_cast<std::size_t>(e) * kBB, z + static_cast<std::size_t>(j) * kB);
+      for (int p = sym.upper_ptr[static_cast<std::size_t>(q)];
+           p < sym.upper_ptr[static_cast<std::size_t>(q) + 1]; ++p) {
+        const auto& c = sym.upper[static_cast<std::size_t>(p)];
+        ai.madd(aval + static_cast<std::size_t>(c.entry) * kBB,
+                z + static_cast<std::size_t>(c.col) * kB);
       }
-      ai.reduce(acc.data() + t * kB);
+      ai.reduce(acc.data() + static_cast<std::size_t>(q - q0) * kB);
     }
-    lus[static_cast<std::size_t>(s)].solve(acc.data());
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      double* zi = z + static_cast<std::size_t>(mem[t]) * kB;
-      zi[0] -= acc[t * kB];
-      zi[1] -= acc[t * kB + 1];
-      zi[2] -= acc[t * kB + 2];
+    solve_unit(*sym.sb, lus[static_cast<std::size_t>(s)], lu3, s, acc.data());
+    for (int q = q0; q < q1; ++q) {
+      double* zi = z + static_cast<std::size_t>(rows[q]) * kB;
+      const double* at = acc.data() + static_cast<std::size_t>(q - q0) * kB;
+      zi[0] -= at[0];
+      zi[1] -= at[1];
+      zi[2] -= at[2];
     }
   });
 }
@@ -324,110 +403,113 @@ void SBBIC0::apply_impl(const T* aval, const LuVec& lus, const double* r, double
 void SBBIC0::apply(std::span<const double> r, std::span<double> z, util::FlopCounter* flops,
                    util::LoopStats* loops) const {
   const auto& a = a_;
-  const auto& sn = sn_;
   GEOFEM_CHECK(r.size() == a.ndof() && z.size() == a.ndof(), "SB-BIC0 apply size mismatch");
 
   const int team = par::threads();
   if (precision_ == Precision::kSingle) {
 #if GEOFEM_SIMD_HAS_AVX2
     if (simd::active() == simd::Isa::kAvx2) {
-      apply_impl<simd::AvxAcc3T<float>>(aval32_.data(), lu32_, r.data(), z.data(), team);
+      apply_impl<simd::AvxAcc3T<float>>(aval32_.data(), lu32_, lu3f_.data(), r.data(), z.data(),
+                                        team);
     } else
 #endif
     {
-      apply_impl<simd::ScalarAcc3T<float>>(aval32_.data(), lu32_, r.data(), z.data(), team);
+      apply_impl<simd::ScalarAcc3T<float>>(aval32_.data(), lu32_, lu3f_.data(), r.data(),
+                                           z.data(), team);
     }
   } else {
 #if GEOFEM_SIMD_HAS_AVX2
     if (simd::active() == simd::Isa::kAvx2) {
-      apply_impl<simd::AvxAcc3>(a.val.data(), lu_, r.data(), z.data(), team);
+      apply_impl<simd::AvxAcc3>(a.val.data(), lu_, lu3_.data(), r.data(), z.data(), team);
     } else
 #endif
     {
-      apply_impl<simd::ScalarAcc3>(a.val.data(), lu_, r.data(), z.data(), team);
+      apply_impl<simd::ScalarAcc3>(a.val.data(), lu_, lu3_.data(), r.data(), z.data(), team);
     }
   }
-  // Stats are pattern-derived; record serially in the serial order.
-  if (loops) {
-    for (int s = 0; s < sn.count(); ++s)
-      loops->record(fwd_len_[static_cast<std::size_t>(s)] + 1);
-    for (int s = sn.count() - 1; s >= 0; --s)
-      loops->record(bwd_len_[static_cast<std::size_t>(s)] + 1);
-  }
+  // Stats are pattern-derived and plan-held (serial sweep order).
+  if (loops) loops->merge(sym_->apply_loops);
   if (flops) {
-    flops->precond += 2ULL * kBB * coupled_;
+    const auto coupled = static_cast<std::uint64_t>(sym_->lower.size() + sym_->upper.size());
+    flops->precond += 2ULL * kBB * coupled;
     flops->precond += static_cast<std::uint64_t>(2.0 * lu_solve_flops_);
   }
 }
 
-template <bool UseAvx, class T, class LuVec>
-void SBBIC0::apply_multi_impl(const T* aval, const LuVec& lus, const double* r, double* z,
-                              int k, int team) const {
-  const auto& a = a_;
-  const auto& sn = sn_;
+template <int KC, bool UseAvx, class T, class LuVec>
+void SBBIC0::apply_multi_impl(const T* aval, const LuVec& lus, const T* lu3, const double* r,
+                              double* z, int k_rt, int team) const {
+  // With KC > 0 the column count is a compile-time constant, so the inlined
+  // b3k kernels and the singleton solves unroll over exactly k columns; the
+  // per-column operation sequence is the runtime-k one.
+  const int k = KC > 0 ? KC : k_rt;
+  const SBBIC0Symbolic& sym = *sym_;
+  const int* rows = sym.row_node.data();
   const std::size_t rk = static_cast<std::size_t>(kB) * static_cast<std::size_t>(k);
-  // Per-thread staging: the supernode accumulator holds dim rows of k columns
-  // interleaved ([dof-in-super][col]); `col` is the contiguous single-column
-  // copy each dense solve runs on.
-  static thread_local std::vector<double> accm, colm;
-  par::for_levels(fwd_, team, [&](int s) {
-    const auto& mem = sn.members[static_cast<std::size_t>(s)];
-    const int dim = kB * static_cast<int>(mem.size());
-    const std::size_t dk = static_cast<std::size_t>(dim) * static_cast<std::size_t>(k);
-    if (accm.size() < dk) accm.resize(dk);
-    if (colm.size() < static_cast<std::size_t>(dim)) colm.resize(static_cast<std::size_t>(dim));
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      const int i = mem[t];
-      double* at = accm.data() + t * rk;
-      const double* ri = r + static_cast<std::size_t>(i) * rk;
-      for (std::size_t c = 0; c < rk; ++c) at[c] = ri[c];
-      for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
-        const int j = a.colind[e];
-        if (sn.node_to_super[static_cast<std::size_t>(j)] >= s) continue;
-        simd::b3k_msub<T, UseAvx>(aval + static_cast<std::size_t>(e) * kBB,
-                                  z + static_cast<std::size_t>(j) * rk, at, k);
-      }
+  // Staging per supernode: dim rows of k interleaved columns
+  // ([dof-in-super][col]), then — for the generic solve of a multi-node
+  // supernode — one contiguous column copy.
+  auto solve = [&](int s, double* acc) {
+    const int dim = sym.sb->dims[static_cast<std::size_t>(s)];
+    if (dim == kB) {
+      simd::solve_lu3_unit_cols(lu3 + static_cast<std::size_t>(s) * simd::kLu3Coefs, acc, k);
+      return;
     }
+    double* col = acc + static_cast<std::size_t>(dim) * static_cast<std::size_t>(k);
     for (int c = 0; c < k; ++c) {
       for (int d = 0; d < dim; ++d)
-        colm[static_cast<std::size_t>(d)] = accm[static_cast<std::size_t>(d) * k + c];
-      lus[static_cast<std::size_t>(s)].solve(colm.data());
+        col[d] = acc[static_cast<std::size_t>(d) * static_cast<std::size_t>(k) +
+                     static_cast<std::size_t>(c)];
+      lus[static_cast<std::size_t>(s)].solve(col);
       for (int d = 0; d < dim; ++d)
-        accm[static_cast<std::size_t>(d) * k + c] = colm[static_cast<std::size_t>(d)];
+        acc[static_cast<std::size_t>(d) * static_cast<std::size_t>(k) +
+            static_cast<std::size_t>(c)] = col[d];
     }
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      double* zi = z + static_cast<std::size_t>(mem[t]) * rk;
-      const double* at = accm.data() + t * rk;
+  };
+  auto scratch_size = [&](int s) {
+    const auto dim = static_cast<std::size_t>(sym.sb->dims[static_cast<std::size_t>(s)]);
+    return dim * (static_cast<std::size_t>(k) + 1);
+  };
+  par::for_levels(sym.fwd, team, [&](int s) {
+    const int q0 = sym.row_ptr[static_cast<std::size_t>(s)];
+    const int q1 = sym.row_ptr[static_cast<std::size_t>(s) + 1];
+    UnitScratch acc(scratch_size(s));
+    for (int q = q0; q < q1; ++q) {
+      double* at = acc.data() + static_cast<std::size_t>(q - q0) * rk;
+      const double* ri = r + static_cast<std::size_t>(rows[q]) * rk;
+      for (std::size_t c = 0; c < rk; ++c) at[c] = ri[c];
+      for (int p = sym.lower_ptr[static_cast<std::size_t>(q)];
+           p < sym.lower_ptr[static_cast<std::size_t>(q) + 1]; ++p) {
+        const auto& cp = sym.lower[static_cast<std::size_t>(p)];
+        simd::b3k_msub<T, UseAvx>(aval + static_cast<std::size_t>(cp.entry) * kBB,
+                                  z + static_cast<std::size_t>(cp.col) * rk, at, k);
+      }
+    }
+    solve(s, acc.data());
+    for (int q = q0; q < q1; ++q) {
+      double* zi = z + static_cast<std::size_t>(rows[q]) * rk;
+      const double* at = acc.data() + static_cast<std::size_t>(q - q0) * rk;
       for (std::size_t c = 0; c < rk; ++c) zi[c] = at[c];
     }
   });
-  par::for_levels(bwd_, team, [&](int s) {
-    const auto& mem = sn.members[static_cast<std::size_t>(s)];
-    const int dim = kB * static_cast<int>(mem.size());
-    const std::size_t dk = static_cast<std::size_t>(dim) * static_cast<std::size_t>(k);
-    if (accm.size() < dk) accm.resize(dk);
-    if (colm.size() < static_cast<std::size_t>(dim)) colm.resize(static_cast<std::size_t>(dim));
-    for (std::size_t c = 0; c < dk; ++c) accm[c] = 0.0;
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      const int i = mem[t];
-      double* at = accm.data() + t * rk;
-      for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
-        const int j = a.colind[e];
-        if (sn.node_to_super[static_cast<std::size_t>(j)] <= s) continue;
-        simd::b3k_madd<T, UseAvx>(aval + static_cast<std::size_t>(e) * kBB,
-                                  z + static_cast<std::size_t>(j) * rk, at, k);
+  par::for_levels(sym.bwd, team, [&](int s) {
+    const int q0 = sym.row_ptr[static_cast<std::size_t>(s)];
+    const int q1 = sym.row_ptr[static_cast<std::size_t>(s) + 1];
+    UnitScratch acc(scratch_size(s));
+    for (int q = q0; q < q1; ++q) {
+      double* at = acc.data() + static_cast<std::size_t>(q - q0) * rk;
+      for (std::size_t c = 0; c < rk; ++c) at[c] = 0.0;
+      for (int p = sym.upper_ptr[static_cast<std::size_t>(q)];
+           p < sym.upper_ptr[static_cast<std::size_t>(q) + 1]; ++p) {
+        const auto& cp = sym.upper[static_cast<std::size_t>(p)];
+        simd::b3k_madd<T, UseAvx>(aval + static_cast<std::size_t>(cp.entry) * kBB,
+                                  z + static_cast<std::size_t>(cp.col) * rk, at, k);
       }
     }
-    for (int c = 0; c < k; ++c) {
-      for (int d = 0; d < dim; ++d)
-        colm[static_cast<std::size_t>(d)] = accm[static_cast<std::size_t>(d) * k + c];
-      lus[static_cast<std::size_t>(s)].solve(colm.data());
-      for (int d = 0; d < dim; ++d)
-        accm[static_cast<std::size_t>(d) * k + c] = colm[static_cast<std::size_t>(d)];
-    }
-    for (std::size_t t = 0; t < mem.size(); ++t) {
-      double* zi = z + static_cast<std::size_t>(mem[t]) * rk;
-      const double* at = accm.data() + t * rk;
+    solve(s, acc.data());
+    for (int q = q0; q < q1; ++q) {
+      double* zi = z + static_cast<std::size_t>(rows[q]) * rk;
+      const double* at = acc.data() + static_cast<std::size_t>(q - q0) * rk;
       for (std::size_t c = 0; c < rk; ++c) zi[c] -= at[c];
     }
   });
@@ -439,43 +521,34 @@ void SBBIC0::apply_multi(std::span<const double> r, std::span<double> z, int k,
   GEOFEM_CHECK(r.size() == a_.ndof() * static_cast<std::size_t>(k) && r.size() == z.size(),
                "SB-BIC0 apply_multi size mismatch");
   const int team = par::threads();
-  const bool avx2 = simd::active() == simd::Isa::kAvx2;
-  (void)avx2;
-  if (precision_ == Precision::kSingle) {
+  auto run = [&](const auto* aval, const auto& lus, const auto* lu3) {
 #if GEOFEM_SIMD_HAS_AVX2
-    if (avx2) {
-      apply_multi_impl<true>(aval32_.data(), lu32_, r.data(), z.data(), k, team);
-    } else
-#endif
-    {
-      apply_multi_impl<false>(aval32_.data(), lu32_, r.data(), z.data(), k, team);
+    if (simd::active() == simd::Isa::kAvx2) {
+      apply_multi_impl<0, true>(aval, lus, lu3, r.data(), z.data(), k, team);
+      return;
     }
-  } else {
-#if GEOFEM_SIMD_HAS_AVX2
-    if (avx2) {
-      apply_multi_impl<true>(a_.val.data(), lu_, r.data(), z.data(), k, team);
-    } else
 #endif
-    {
-      apply_multi_impl<false>(a_.val.data(), lu_, r.data(), z.data(), k, team);
-    }
-  }
+    simd::with_fixed_width(k, [&](auto kc) {
+      apply_multi_impl<decltype(kc)::value, false>(aval, lus, lu3, r.data(), z.data(), k, team);
+    });
+  };
+  if (precision_ == Precision::kSingle)
+    run(aval32_.data(), lu32_, lu3f_.data());
+  else
+    run(a_.val.data(), lu_, lu3_.data());
   // One schedule walk: loop stats match the single apply; FLOPs scale by k.
-  if (loops) {
-    for (int s = 0; s < sn_.count(); ++s)
-      loops->record(fwd_len_[static_cast<std::size_t>(s)] + 1);
-    for (int s = sn_.count() - 1; s >= 0; --s)
-      loops->record(bwd_len_[static_cast<std::size_t>(s)] + 1);
-  }
+  if (loops) loops->merge(sym_->apply_loops);
   if (flops) {
-    flops->precond += 2ULL * kBB * coupled_ * static_cast<std::uint64_t>(k);
+    const auto coupled = static_cast<std::uint64_t>(sym_->lower.size() + sym_->upper.size());
+    flops->precond += 2ULL * kBB * coupled * static_cast<std::uint64_t>(k);
     flops->precond +=
         static_cast<std::uint64_t>(2.0 * lu_solve_flops_) * static_cast<std::uint64_t>(k);
   }
 }
 
 std::size_t SBBIC0::memory_bytes() const {
-  std::size_t bytes = aval32_.size() * sizeof(float);
+  std::size_t bytes = aval32_.size() * sizeof(float) + lu3_.size() * sizeof(double) +
+                      lu3f_.size() * sizeof(float);
   for (const auto& lu : lu_) bytes += lu.memory_bytes();
   for (const auto& lu : lu32_) bytes += lu.memory_bytes();
   return bytes;

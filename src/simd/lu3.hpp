@@ -65,6 +65,27 @@ inline T all_ones_bits() {
   else
     return std::bit_cast<double>(~std::uint64_t{0});
 }
+
+/// Write one 3x3 factor's 12 coefficients (l10 l20 l21 u00 u01 u02 u11 u12
+/// u22, then the three pivot masks) at c[0], c[stride], ..., c[11*stride],
+/// narrowed to T. The masks must already be zero.
+template <class T>
+inline void pack_lu3_coefs(const sparse::DenseLU& lu, T* c, int stride) {
+  const double* f = lu.factor();
+  const auto& piv = lu.pivots();
+  c[stride * 0] = static_cast<T>(f[3]);  // l10
+  c[stride * 1] = static_cast<T>(f[6]);  // l20
+  c[stride * 2] = static_cast<T>(f[7]);  // l21
+  c[stride * 3] = static_cast<T>(f[0]);  // u00
+  c[stride * 4] = static_cast<T>(f[1]);  // u01
+  c[stride * 5] = static_cast<T>(f[2]);  // u02
+  c[stride * 6] = static_cast<T>(f[4]);  // u11
+  c[stride * 7] = static_cast<T>(f[5]);  // u12
+  c[stride * 8] = static_cast<T>(f[8]);  // u22
+  if (piv[0] == 1) c[stride * 9] = all_ones_bits<T>();
+  if (piv[0] == 2) c[stride * 10] = all_ones_bits<T>();
+  if (piv[1] == 2) c[stride * 11] = all_ones_bits<T>();
+}
 }  // namespace detail
 
 /// Append one group of `n` (1..kLanes) consecutive singleton units starting
@@ -77,7 +98,6 @@ template <class T>
 inline void pack_lu3_group(PackedLU3T<T>& p, const sparse::DenseLU* const lus[], int n,
                            int row) {
   constexpr int kL = PackedLU3T<T>::kLanes;
-  const T on = detail::all_ones_bits<T>();
   p.start.push_back(row);
   p.cnt.push_back(n);
   const std::size_t base = p.coef.size();
@@ -88,21 +108,21 @@ inline void pack_lu3_group(PackedLU3T<T>& p, const sparse::DenseLU* const lus[],
       c[kL * 3 + l] = c[kL * 6 + l] = c[kL * 8 + l] = T(1);  // identity U diagonal
       continue;
     }
-    const double* f = lus[l]->factor();
-    const auto& piv = lus[l]->pivots();
-    c[kL * 0 + l] = static_cast<T>(f[3]);  // l10
-    c[kL * 1 + l] = static_cast<T>(f[6]);  // l20
-    c[kL * 2 + l] = static_cast<T>(f[7]);  // l21
-    c[kL * 3 + l] = static_cast<T>(f[0]);  // u00
-    c[kL * 4 + l] = static_cast<T>(f[1]);  // u01
-    c[kL * 5 + l] = static_cast<T>(f[2]);  // u02
-    c[kL * 6 + l] = static_cast<T>(f[4]);  // u11
-    c[kL * 7 + l] = static_cast<T>(f[5]);  // u12
-    c[kL * 8 + l] = static_cast<T>(f[8]);  // u22
-    if (piv[0] == 1) c[kL * 9 + l] = on;
-    if (piv[0] == 2) c[kL * 10 + l] = on;
-    if (piv[1] == 2) c[kL * 11 + l] = on;
+    detail::pack_lu3_coefs(*lus[l], c + l, kL);
   }
+}
+
+/// Coefficients of one 3x3 factor stored contiguously (the layout of one
+/// lane of a PackedLU3T group, at stride 1): the natural-ordering SB-BIC(0)
+/// solves its singleton supernodes one at a time, so it keeps one record per
+/// unit instead of lane-transposed groups.
+inline constexpr int kLu3Coefs = 12;
+
+/// Pack `lu` (3x3) into c[0..kLu3Coefs), narrowed to T.
+template <class T>
+inline void pack_lu3(const sparse::DenseLU& lu, T* c) {
+  for (int m = 0; m < kLu3Coefs; ++m) c[m] = T(0);
+  detail::pack_lu3_coefs(lu, c, 1);
 }
 
 namespace detail {
@@ -116,24 +136,31 @@ inline bool mask_set(T v) {
     return std::bit_cast<std::uint64_t>(v) != 0;
 }
 
-/// One lane of a packed group, x := A^-1 x, in DenseLU::solve's order: swap
-/// and eliminate column 0, swap and eliminate column 1, then back-substitute
-/// from row 2 up.
+/// One 3x3 pivoted solve, x := A^-1 x, with coefficient m at c[Stride*m],
+/// in DenseLU::solve's order: swap and eliminate column 0, swap and
+/// eliminate column 1, then back-substitute from row 2 up. The arithmetic
+/// runs in U: T for the lane packs, double for fp32-stored factors applied
+/// to fp64 vectors (DenseSolveT<float>::solve<double>'s promotion).
+template <int Stride, class T, class U>
+inline void lu3_solve_strided(const T* c, U& x0, U& x1, U& x2) {
+  if (mask_set(c[Stride * 9])) std::swap(x0, x1);
+  if (mask_set(c[Stride * 10])) std::swap(x0, x2);
+  x1 -= c[Stride * 0] * x0;  // l10
+  x2 -= c[Stride * 1] * x0;  // l20
+  if (mask_set(c[Stride * 11])) std::swap(x1, x2);
+  x2 -= c[Stride * 2] * x1;  // l21
+  x2 /= c[Stride * 8];       // u22
+  x0 -= c[Stride * 5] * x2;  // u02
+  x1 -= c[Stride * 7] * x2;  // u12
+  x1 /= c[Stride * 6];       // u11
+  x0 -= c[Stride * 4] * x1;  // u01
+  x0 /= c[Stride * 3];       // u00
+}
+
+/// One lane of a packed group.
 template <class T>
 inline void lu3_solve_lane(const T* c, int l, T& x0, T& x1, T& x2) {
-  constexpr int kL = PackedLU3T<T>::kLanes;
-  if (mask_set(c[kL * 9 + l])) std::swap(x0, x1);
-  if (mask_set(c[kL * 10 + l])) std::swap(x0, x2);
-  x1 -= c[kL * 0 + l] * x0;  // l10
-  x2 -= c[kL * 1 + l] * x0;  // l20
-  if (mask_set(c[kL * 11 + l])) std::swap(x1, x2);
-  x2 -= c[kL * 2 + l] * x1;  // l21
-  x2 /= c[kL * 8 + l];       // u22
-  x0 -= c[kL * 5 + l] * x2;  // u02
-  x1 -= c[kL * 7 + l] * x2;  // u12
-  x1 /= c[kL * 6 + l];       // u11
-  x0 -= c[kL * 4 + l] * x1;  // u01
-  x0 /= c[kL * 3 + l];       // u00
+  lu3_solve_strided<PackedLU3T<T>::kLanes>(c + l, x0, x1, x2);
 }
 
 }  // namespace detail
@@ -170,6 +197,22 @@ inline void solve_lu3_sub(const PackedLU3T<T>& p, const T* w, T* z) {
       zl[2] -= x2;
     }
   }
+}
+
+/// x[0..2] := A^-1 x for one pack_lu3 record — bit-identical to
+/// DenseLU::solve (T = double) or DenseSolveT<float>::solve<double>
+/// (T = float) on the same factor, in every tier.
+template <class T>
+inline void solve_lu3_unit(const T* c, double* x) {
+  detail::lu3_solve_strided<1>(c, x[0], x[1], x[2]);
+}
+
+/// The same solve for k interleaved columns (x[r*k + col]), column by
+/// column; `k` is a compile-time constant when the caller's is.
+template <class T>
+inline void solve_lu3_unit_cols(const T* c, double* x, int k) {
+  for (int col = 0; col < k; ++col)
+    detail::lu3_solve_strided<1>(c, x[col], x[k + col], x[2 * k + col]);
 }
 
 #if GEOFEM_SIMD_HAS_AVX2

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <type_traits>
+
 #include "simd/simd.hpp"
 
 #if GEOFEM_SIMD_HAS_AVX2
@@ -35,6 +37,24 @@ namespace geofem::simd {
 /// throughput win saturates well below this (bandwidth amortization is ~flat
 /// past k ~ 16).
 inline constexpr int kMaxMultiRhs = 32;
+
+/// Width dispatch of the scalar/omp-tier multi-RHS sweeps, once per call:
+/// f(std::integral_constant<int, K>{}) with K = k for the service's batch
+/// widths k = 2..4, so the inlined column loops unroll over exactly k
+/// columns (same per-column operations; runtime k lost to k single-column
+/// kernels at k <= 2), and K = 0 (read the runtime k) otherwise. The AVX2
+/// tier must not use it: under FMA contraction a constant k compiles the
+/// scalar column tail of the kernels below to a differently contracted
+/// sequence, which changes bits.
+template <class F>
+inline void with_fixed_width(int k, F&& f) {
+  switch (k) {
+    case 2: f(std::integral_constant<int, 2>{}); break;
+    case 3: f(std::integral_constant<int, 3>{}); break;
+    case 4: f(std::integral_constant<int, 4>{}); break;
+    default: f(std::integral_constant<int, 0>{}); break;
+  }
+}
 
 namespace mrhs_detail {
 

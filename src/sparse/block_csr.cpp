@@ -32,7 +32,7 @@ void spmv_impl(const BlockCSR& a, const double* x, double* y, int t) {
 /// k = 4*KV fast path: the whole 3*k accumulator lives in ymm registers for
 /// the duration of a block row (simd::AvxAccK), so the only memory traffic
 /// per block is the matrix stream plus the operand row. Bit-identical to
-/// spmm_impl<true> — AvxAccK applies the same per-lane FMA sequence.
+/// spmm_impl<0, true> — AvxAccK applies the same per-lane FMA sequence.
 template <int KV>
 void spmm_impl_avxk(const BlockCSR& a, const double* x, double* y, int t) {
   constexpr std::size_t rk = static_cast<std::size_t>(kB) * 4 * KV;
@@ -50,9 +50,11 @@ void spmm_impl_avxk(const BlockCSR& a, const double* x, double* y, int t) {
 /// Row-parallel SpMM body: one 3*k stack accumulator per block row, the
 /// matrix block stream identical to spmv_impl. Rows write disjoint Y slices
 /// and each row's block order is the serial one, so the result is
-/// bit-identical for any team size.
-template <bool UseAvx>
-void spmm_impl(const BlockCSR& a, const double* x, double* y, int k, int t) {
+/// bit-identical for any team size. KC > 0 fixes k at compile time
+/// (simd::with_fixed_width); KC = 0 reads the runtime k.
+template <int KC, bool UseAvx>
+void spmm_impl(const BlockCSR& a, const double* x, double* y, int k_rt, int t) {
+  const int k = KC > 0 ? KC : k_rt;
   const std::size_t rk = static_cast<std::size_t>(kB) * static_cast<std::size_t>(k);
 #pragma omp parallel for schedule(static) num_threads(t) if (t > 1)
   for (int i = 0; i < a.n; ++i) {
@@ -120,11 +122,13 @@ void BlockCSR::spmm(std::span<const double> x, std::span<double> y, int k,
     else if (k == 8)
       spmm_impl_avxk<2>(*this, x.data(), y.data(), t);
     else
-      spmm_impl<true>(*this, x.data(), y.data(), k, t);
+      spmm_impl<0, true>(*this, x.data(), y.data(), k, t);
   } else
 #endif
   {
-    spmm_impl<false>(*this, x.data(), y.data(), k, t);
+    simd::with_fixed_width(k, [&](auto kc) {
+      spmm_impl<decltype(kc)::value, false>(*this, x.data(), y.data(), k, t);
+    });
   }
   if (loops)
     for (int i = 0; i < n; ++i) loops->record(rowptr[i + 1] - rowptr[i]);

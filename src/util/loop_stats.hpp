@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,8 +39,15 @@ class LoopStats {
   };
   [[nodiscard]] const std::vector<Entry>& entries() const { return lengths_; }
 
+  /// Append `o`'s entries in order: one bulk insert plus O(1) updates of the
+  /// summary fields (the same state as record()-ing each entry in turn).
   void merge(const LoopStats& o) {
-    for (const auto& e : o.lengths_) record(e.length, e.times);
+    if (o.count_ == 0) return;
+    lengths_.insert(lengths_.end(), o.lengths_.begin(), o.lengths_.end());
+    min_ = count_ == 0 ? o.min_ : std::min(min_, o.min_);
+    max_ = std::max(max_, o.max_);
+    total_length_ += o.total_length_;
+    count_ += o.count_;
   }
 
   void reset() { *this = LoopStats{}; }
