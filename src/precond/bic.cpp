@@ -209,8 +209,8 @@ BIC0::BIC0(const sparse::BlockCSR& a, Precision precision, bool modified)
   }
 
   // Substitution dependency levels for the hybrid apply: forward over the
-  // strict lower pattern, backward over the strict upper.
-  lower_len_.assign(static_cast<std::size_t>(a.n), 0);
+  // strict lower pattern, backward over the strict upper. Each row is one
+  // loop per sweep over its strict part plus the diagonal.
   std::vector<int> lev(static_cast<std::size_t>(a.n), 0);
   for (int i = 0; i < a.n; ++i) {
     int l = 0, len = 0;
@@ -219,7 +219,8 @@ BIC0::BIC0(const sparse::BlockCSR& a, Precision precision, bool modified)
       ++len;
     }
     lev[static_cast<std::size_t>(i)] = l;
-    lower_len_[static_cast<std::size_t>(i)] = len;
+    apply_loops_.record(len + 1);
+    apply_loops_.record(a.rowptr[i + 1] - a.rowptr[i] - len);
   }
   fwd_ = par::schedule_from_levels(lev);
   for (int i = a.n - 1; i >= 0; --i) {
@@ -271,13 +272,7 @@ void BIC0::apply(std::span<const double> r, std::span<double> z, util::FlopCount
                                         z.data(), team);
     }
   }
-  // Loop lengths are pattern-derived; record serially in the serial order.
-  if (loops) {
-    for (int i = 0; i < a.n; ++i) loops->record(lower_len_[static_cast<std::size_t>(i)] + 1);
-    for (int i = a.n - 1; i >= 0; --i)
-      loops->record(a.rowptr[i + 1] - a.rowptr[i] - 1 - lower_len_[static_cast<std::size_t>(i)] +
-                    1);
-  }
+  if (loops) loops->merge(apply_loops_);
   if (flops)
     flops->precond += 2ULL * kBB * static_cast<std::uint64_t>(a.nnz_blocks() + a.n);
 }
@@ -314,12 +309,7 @@ void BIC0::apply_multi(std::span<const double> r, std::span<double> z, int k,
                                    z.data(), k, team);
     }
   }
-  if (loops) {
-    for (int i = 0; i < a.n; ++i) loops->record(lower_len_[static_cast<std::size_t>(i)] + 1);
-    for (int i = a.n - 1; i >= 0; --i)
-      loops->record(a.rowptr[i + 1] - a.rowptr[i] - 1 - lower_len_[static_cast<std::size_t>(i)] +
-                    1);
-  }
+  if (loops) loops->merge(apply_loops_);
   if (flops)
     flops->precond += 2ULL * kBB * static_cast<std::uint64_t>(a.nnz_blocks() + a.n) *
                       static_cast<std::uint64_t>(k);
@@ -334,7 +324,8 @@ std::size_t ILUkSymbolic::memory_bytes() const {
           elim_src.size() + elim_dst.size() + fwd.rows.size() + fwd.level_ptr.size() +
           bwd.rows.size() + bwd.level_ptr.size()) *
              sizeof(int) +
-         elim_ptr.size() * sizeof(std::int64_t);
+         elim_ptr.size() * sizeof(std::int64_t) +
+         apply_loops.entries().size() * sizeof(util::LoopStats::Entry);
 }
 
 std::shared_ptr<const ILUkSymbolic> iluk_symbolic(const sparse::BlockCSR& a, int fill_level) {
@@ -469,6 +460,7 @@ std::shared_ptr<const ILUkSymbolic> iluk_symbolic(const sparse::BlockCSR& a, int
     }
     s.bwd = par::schedule_from_levels(lev);
   }
+  s.apply_loops = substitution_loops(s.lptr, s.uptr);
   return out;
 }
 
@@ -587,12 +579,7 @@ void BlockILUk::apply(std::span<const double> r, std::span<double> z, util::Flop
                                         z.data(), team);
     }
   }
-  if (loops) {
-    for (int i = 0; i < n_; ++i)
-      loops->record(s.lptr[static_cast<std::size_t>(i) + 1] - s.lptr[static_cast<std::size_t>(i)] + 1);
-    for (int i = n_ - 1; i >= 0; --i)
-      loops->record(s.uptr[static_cast<std::size_t>(i) + 1] - s.uptr[static_cast<std::size_t>(i)] + 1);
-  }
+  if (loops) loops->merge(s.apply_loops);
   if (flops)
     flops->precond +=
         2ULL * kBB * (s.lcol.size() + s.ucol.size() + static_cast<std::uint64_t>(n_));
@@ -632,12 +619,7 @@ void BlockILUk::apply_multi(std::span<const double> r, std::span<double> z, int 
                                    z.data(), k, team);
     }
   }
-  if (loops) {
-    for (int i = 0; i < n_; ++i)
-      loops->record(s.lptr[static_cast<std::size_t>(i) + 1] - s.lptr[static_cast<std::size_t>(i)] + 1);
-    for (int i = n_ - 1; i >= 0; --i)
-      loops->record(s.uptr[static_cast<std::size_t>(i) + 1] - s.uptr[static_cast<std::size_t>(i)] + 1);
-  }
+  if (loops) loops->merge(s.apply_loops);
   if (flops)
     flops->precond += 2ULL * kBB * (s.lcol.size() + s.ucol.size() + static_cast<std::uint64_t>(n_)) *
                       static_cast<std::uint64_t>(k);

@@ -59,7 +59,7 @@ class BIC0 final : public Preconditioner {
   /// fp32 storage (kSingle only): narrowed D~^-1 and a full narrowed mirror
   /// of the matrix values (the substitution reads a's off-diagonals in place).
   simd::aligned_vector<float> inv32_, aval32_;
-  std::vector<int> lower_len_;  ///< strict-lower blocks per row (loop stats)
+  util::LoopStats apply_loops_;  ///< loop lengths of one apply, both sweeps
   par::LevelSchedule fwd_, bwd_;  ///< substitution dependency levels
 };
 
@@ -85,6 +85,7 @@ struct ILUkSymbolic {
   /// Substitution dependency levels of the L (forward) and U (backward)
   /// patterns, for the hybrid apply.
   par::LevelSchedule fwd, bwd;
+  util::LoopStats apply_loops;  ///< loop lengths of one apply, both sweeps
 
   [[nodiscard]] std::size_t memory_bytes() const;
 };

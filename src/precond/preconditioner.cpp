@@ -7,6 +7,13 @@
 
 namespace geofem::precond {
 
+util::LoopStats substitution_loops(std::span<const int> lptr, std::span<const int> uptr) {
+  util::LoopStats loops;
+  for (const auto ptr : {lptr, uptr})
+    for (std::size_t i = 0; i + 1 < ptr.size(); ++i) loops.record(ptr[i + 1] - ptr[i] + 1);
+  return loops;
+}
+
 void Preconditioner::apply_multi(std::span<const double> r, std::span<double> z, int k,
                                  util::FlopCounter* flops, util::LoopStats* loops) const {
   GEOFEM_CHECK(k >= 1, "apply_multi: bad column count");

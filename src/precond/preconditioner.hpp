@@ -58,4 +58,11 @@ class Preconditioner {
 
 using PreconditionerPtr = std::unique_ptr<Preconditioner>;
 
+/// Loop lengths of one forward + backward substitution over a strict lower
+/// (`lptr`) and strict upper (`uptr`) CSR pattern: each row contributes one
+/// loop per sweep over its off-diagonal entries plus the diagonal. Structure
+/// only, so the symbolic phase builds it once and every apply merges it.
+[[nodiscard]] util::LoopStats substitution_loops(std::span<const int> lptr,
+                                                 std::span<const int> uptr);
+
 }  // namespace geofem::precond

@@ -12,7 +12,8 @@ std::size_t ScalarIC0Symbolic::memory_bytes() const {
   return (lptr.size() + lcol.size() + uptr.size() + ucol.size() + fwd.rows.size() +
           fwd.level_ptr.size() + bwd.rows.size() + bwd.level_ptr.size()) *
              sizeof(int) +
-         (lsrc.size() + usrc.size() + dsrc.size()) * sizeof(std::int64_t);
+         (lsrc.size() + usrc.size() + dsrc.size()) * sizeof(std::int64_t) +
+         apply_loops.entries().size() * sizeof(util::LoopStats::Entry);
 }
 
 std::shared_ptr<const ScalarIC0Symbolic> scalar_ic0_symbolic(const sparse::BlockCSR& a) {
@@ -97,6 +98,7 @@ std::shared_ptr<const ScalarIC0Symbolic> scalar_ic0_symbolic(const sparse::Block
     }
     s.bwd = par::schedule_from_levels(lev);
   }
+  s.apply_loops = substitution_loops(s.lptr, s.uptr);
   return out;
 }
 
@@ -195,12 +197,7 @@ void ScalarIC0::apply(std::span<const double> r, std::span<double> z, util::Flop
   } else {
     apply_impl(lval_.data(), uval_.data(), inv_d_.data(), r.data(), z.data(), team);
   }
-  if (loops) {
-    for (int i = 0; i < n_; ++i)
-      loops->record(s.lptr[static_cast<std::size_t>(i) + 1] - s.lptr[static_cast<std::size_t>(i)] + 1);
-    for (int i = n_ - 1; i >= 0; --i)
-      loops->record(s.uptr[static_cast<std::size_t>(i) + 1] - s.uptr[static_cast<std::size_t>(i)] + 1);
-  }
+  if (loops) loops->merge(s.apply_loops);
   if (flops)
     flops->precond +=
         2ULL * (s.lsrc.size() + s.usrc.size()) + 3ULL * static_cast<std::uint64_t>(n_);

@@ -24,6 +24,7 @@ struct ScalarIC0Symbolic {
   std::vector<std::int64_t> dsrc;  ///< per scalar row: source of a_ii
   /// Substitution dependency levels over the scalar rows (hybrid apply).
   par::LevelSchedule fwd, bwd;
+  util::LoopStats apply_loops;  ///< loop lengths of one apply, both sweeps
 
   [[nodiscard]] std::size_t memory_bytes() const;
 };

@@ -210,6 +210,22 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
     build(up, upper_[static_cast<std::size_t>(ch)]);
   }
 
+  // ---- 7. Per-sweep loop pattern and entry count -------------------------
+  // Structure only, so refill keeps them valid and spmv/spmm add them
+  // without walking the chunks.
+  sweep_entries_ = static_cast<std::uint64_t>(n_);
+  for (const auto& sr : super_ranges_)
+    sweep_entries_ +=
+        static_cast<std::uint64_t>(sr.size) * static_cast<std::uint64_t>(sr.size - 1);
+  for (const auto& parts : {std::cref(lower_), std::cref(upper_)}) {
+    for (const Jagged& p : parts.get()) {
+      sweep_entries_ += static_cast<std::uint64_t>(p.entries());
+      for (int j = 0; j < p.num_jd(); ++j)
+        jagged_loops_.record(p.jd_ptr[static_cast<std::size_t>(j) + 1] -
+                             p.jd_ptr[static_cast<std::size_t>(j)]);
+    }
+  }
+
   pack_simd();
 }
 
@@ -351,30 +367,11 @@ void DJDSMatrix::spmv(std::span<const double> x, std::span<double> y, util::Flop
     }
   }
 
-  // Stats are pattern-derived: record them serially afterwards, in the order
-  // the serial sweep would have produced.
   if (loops) {
     loops->record(n_);
-    for (int ch = 0; ch < nchunks; ++ch) {
-      for (const Jagged* part : {&lower_[static_cast<std::size_t>(ch)],
-                                 &upper_[static_cast<std::size_t>(ch)]}) {
-        for (int j = 0; j < part->num_jd(); ++j) {
-          const int len = part->jd_ptr[static_cast<std::size_t>(j) + 1] -
-                          part->jd_ptr[static_cast<std::size_t>(j)];
-          if (len > 0) loops->record(len);
-        }
-      }
-    }
+    loops->merge(jagged_loops_);
   }
-  if (flops) {
-    std::uint64_t entries = static_cast<std::uint64_t>(n_);
-    for (const auto& sr : super_ranges_)
-      entries += static_cast<std::uint64_t>(sr.size) * static_cast<std::uint64_t>(sr.size - 1);
-    for (int ch = 0; ch < nchunks; ++ch)
-      entries += static_cast<std::uint64_t>(lower_[static_cast<std::size_t>(ch)].entries()) +
-                 static_cast<std::uint64_t>(upper_[static_cast<std::size_t>(ch)].entries());
-    flops->spmv += 2ULL * sparse::kBB * entries;
-  }
+  if (flops) flops->spmv += 2ULL * sparse::kBB * sweep_entries_;
 }
 
 namespace {
@@ -516,46 +513,14 @@ void DJDSMatrix::spmm(std::span<const double> x, std::span<double> y, int k,
   {
     djds_spmm_impl<false>(*this, x.data(), y.data(), k, nt);
   }
-  const int nchunks = ncolors_ * opt_.npe;
   if (loops) {
     loops->record(n_);
-    for (int ch = 0; ch < nchunks; ++ch) {
-      for (const Jagged* part : {&lower_[static_cast<std::size_t>(ch)],
-                                 &upper_[static_cast<std::size_t>(ch)]}) {
-        for (int j = 0; j < part->num_jd(); ++j) {
-          const int len = part->jd_ptr[static_cast<std::size_t>(j) + 1] -
-                          part->jd_ptr[static_cast<std::size_t>(j)];
-          if (len > 0) loops->record(len);
-        }
-      }
-    }
+    loops->merge(jagged_loops_);
   }
-  if (flops) {
-    std::uint64_t entries = static_cast<std::uint64_t>(n_);
-    for (const auto& sr : super_ranges_)
-      entries += static_cast<std::uint64_t>(sr.size) * static_cast<std::uint64_t>(sr.size - 1);
-    for (int ch = 0; ch < nchunks; ++ch)
-      entries += static_cast<std::uint64_t>(lower_[static_cast<std::size_t>(ch)].entries()) +
-                 static_cast<std::uint64_t>(upper_[static_cast<std::size_t>(ch)].entries());
-    flops->spmv += 2ULL * sparse::kBB * entries * static_cast<std::uint64_t>(k);
-  }
+  if (flops) flops->spmv += 2ULL * sparse::kBB * sweep_entries_ * static_cast<std::uint64_t>(k);
 }
 
-double DJDSMatrix::average_vector_length() const {
-  std::int64_t total = 0, loops = 0;
-  for (const auto& parts : {std::cref(lower_), std::cref(upper_)}) {
-    for (const Jagged& p : parts.get()) {
-      for (int j = 0; j < p.num_jd(); ++j) {
-        const int len = p.jd_ptr[static_cast<std::size_t>(j) + 1] - p.jd_ptr[static_cast<std::size_t>(j)];
-        if (len > 0) {
-          total += len;
-          ++loops;
-        }
-      }
-    }
-  }
-  return loops == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(loops);
-}
+double DJDSMatrix::average_vector_length() const { return jagged_loops_.average(); }
 
 double DJDSMatrix::load_imbalance_percent() const {
   std::vector<std::int64_t> rows_per_pe(static_cast<std::size_t>(opt_.npe), 0);

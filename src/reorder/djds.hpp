@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "contact/penalty.hpp"
@@ -100,9 +101,10 @@ class DJDSMatrix {
   /// is the numeric half of the PDJDS set-up, used for plan reuse.
   void refill(const sparse::BlockCSR& a);
 
-  /// y = A x in the new ordering (x, y indexed by new ids). Records the
-  /// length of every executed innermost vector loop in `loops` and counts
-  /// FLOPs (dummy padding entries are executed and therefore counted).
+  /// y = A x in the new ordering (x, y indexed by new ids). Adds the
+  /// sweep's innermost vector loops to `loops` and its FLOPs to `flops`
+  /// (dummy padding entries are executed and therefore counted); both come
+  /// from structure held since construction, in O(distinct loop lengths).
   void spmv(std::span<const double> x, std::span<double> y, util::FlopCounter* flops = nullptr,
             util::LoopStats* loops = nullptr) const;
 
@@ -116,7 +118,7 @@ class DJDSMatrix {
             util::FlopCounter* flops = nullptr, util::LoopStats* loops = nullptr) const;
 
   // --- reordering statistics (Figs 26(d), 29) ---
-  /// Average innermost vector-loop length of one matvec sweep.
+  /// Average jagged-diagonal loop length of one matvec sweep.
   [[nodiscard]] double average_vector_length() const;
   /// 100 * (max-min)/avg of rows per PE (aggregated over colors), Fig 29.
   [[nodiscard]] double load_imbalance_percent() const;
@@ -140,6 +142,8 @@ class DJDSMatrix {
   std::vector<SuperRange> super_ranges_;
   std::vector<std::vector<double>> super_dense_;
   std::vector<int> range_of_row_;
+  util::LoopStats jagged_loops_;     ///< jagged-diagonal loops of one sweep
+  std::uint64_t sweep_entries_ = 0;  ///< blocks one sweep multiplies (flops / 2·kBB)
 };
 
 }  // namespace geofem::reorder

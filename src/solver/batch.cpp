@@ -136,11 +136,17 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
       freeze(c, SolveStatus::kConverged, 0);
 
   for (int it = 0; n_active > 0 && res.iterations < opt.cg.max_iterations; ++it) {
+    // A batch compacted to one column has the single-vector layout, so it
+    // runs the single-RHS kernels, which beat their k = 1 multi-RHS twins.
+    const std::size_t len = n * static_cast<std::size_t>(st.kw);
     {
       obs::ScopedSpan s(reg, "pcg.precond");
-      m.apply_multi(std::span<const double>(st.r.data(), n * static_cast<std::size_t>(st.kw)),
-                    std::span<double>(st.z.data(), n * static_cast<std::size_t>(st.kw)), st.kw,
-                    fc, ls);
+      const std::span<const double> in(st.r.data(), len);
+      const std::span<double> out(st.z.data(), len);
+      if (st.kw == 1)
+        m.apply(in, out, fc, ls);
+      else
+        m.apply_multi(in, out, st.kw, fc, ls);
     }
     sparse::dot_multi(st.r.data(), st.z.data(), n, st.kw, rho.data(), fc);
     for (int c = st.kw - 1; c >= 0; --c) {
@@ -153,7 +159,7 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
     if (n_active == 0) break;
 
     if (it == 0) {
-      std::memcpy(st.p.data(), st.z.data(), n * static_cast<std::size_t>(st.kw) * sizeof(double));
+      std::memcpy(st.p.data(), st.z.data(), len * sizeof(double));
     } else {
       for (int c = 0; c < st.kw; ++c) {
         const auto cc = static_cast<std::size_t>(c);
@@ -167,9 +173,12 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
 
     {
       obs::ScopedSpan s(reg, "pcg.spmm");
-      amul_multi(std::span<const double>(st.p.data(), n * static_cast<std::size_t>(st.kw)),
-                 std::span<double>(st.q.data(), n * static_cast<std::size_t>(st.kw)), st.kw, fc,
-                 ls);
+      const std::span<const double> in(st.p.data(), len);
+      const std::span<double> out(st.q.data(), len);
+      if (st.kw == 1)
+        amul(in, out, fc, ls);
+      else
+        amul_multi(in, out, st.kw, fc, ls);
     }
     sparse::dot_multi(st.p.data(), st.q.data(), n, st.kw, pq.data(), fc);
     for (int c = st.kw - 1; c >= 0; --c) {

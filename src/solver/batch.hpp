@@ -65,7 +65,9 @@ struct BatchedCGResult {
 /// Contract: k == 1 delegates wholesale to solver::pcg through `amul`
 /// (bit-identical solution AND residual history to a plain single-RHS
 /// solve); k > 1 matches the per-column single solves to solver tolerance
-/// but not bitwise (interleaved kernels fix a different lane shape).
+/// but not bitwise (interleaved kernels fix a different lane shape). Once
+/// compaction leaves one live column, iterations run `amul` and
+/// Preconditioner::apply instead of their k = 1 multi-RHS forms.
 BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
                             const precond::Preconditioner& m, std::span<const double> b,
                             std::span<double> x, int k, const BatchedCGOptions& opt = {});

@@ -1,6 +1,7 @@
 #include "sparse/block_csr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "par/par.hpp"
@@ -68,6 +69,23 @@ void spmm_impl(const BlockCSR& a, const double* x, double* y, int k_rt, int t) {
   }
 }
 
+/// Tally each block row's length (the CRS innermost loop) into `loops`: short
+/// lengths are counted in a stack array first, so the histogram sees one
+/// record per distinct length.
+void record_row_loops(const BlockCSR& a, util::LoopStats& loops) {
+  constexpr int kShort = 64;
+  std::array<std::int64_t, kShort> tally{};
+  for (int i = 0; i < a.n; ++i) {
+    const int len = a.rowptr[i + 1] - a.rowptr[i];
+    if (len < kShort)
+      ++tally[static_cast<std::size_t>(len)];
+    else
+      loops.record(len);
+  }
+  for (std::size_t len = 1; len < tally.size(); ++len)
+    if (tally[len] > 0) loops.record(static_cast<std::int64_t>(len), tally[len]);
+}
+
 }  // namespace
 
 int BlockCSR::find(int i, int j) const {
@@ -99,10 +117,7 @@ void BlockCSR::spmv(std::span<const double> x, std::span<double> y, util::FlopCo
   {
     spmv_impl<simd::ScalarAcc3>(*this, x.data(), y.data(), t);
   }
-  // Stats are pattern-derived: record them serially so the loop-length stream
-  // keeps the serial order regardless of the team size.
-  if (loops)
-    for (int i = 0; i < n; ++i) loops->record(rowptr[i + 1] - rowptr[i]);
+  if (loops) record_row_loops(*this, *loops);
   if (flops) flops->spmv += 2ULL * kBB * static_cast<std::uint64_t>(nnz_blocks());
 }
 
@@ -130,8 +145,7 @@ void BlockCSR::spmm(std::span<const double> x, std::span<double> y, int k,
       spmm_impl<decltype(kc)::value, false>(*this, x.data(), y.data(), k, t);
     });
   }
-  if (loops)
-    for (int i = 0; i < n; ++i) loops->record(rowptr[i + 1] - rowptr[i]);
+  if (loops) record_row_loops(*this, *loops);
   if (flops)
     flops->spmv +=
         2ULL * kBB * static_cast<std::uint64_t>(nnz_blocks()) * static_cast<std::uint64_t>(k);
