@@ -1,7 +1,11 @@
 #include "fem/assembly.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
+#include "sparse/pattern.hpp"
 #include "util/check.hpp"
 
 namespace geofem::fem {
@@ -60,46 +64,97 @@ void BoundaryConditions::body_force(const mesh::HexMesh& m, int comp, double f) 
   }
 }
 
-System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& materials) {
-  GEOFEM_CHECK(!materials.empty(), "need at least one material");
+sparse::BlockCSR elasticity_pattern(const mesh::HexMesh& m) {
   const int nn = m.num_nodes();
-  sparse::BlockCSRBuilder builder(nn);
+  const int ne = m.num_elements();
+  const int ncliques = ne + static_cast<int>(m.contact_groups.size());
 
-  // Element couplings.
-  for (const auto& h : m.hexes)
-    for (int a : h)
-      for (int b : h)
-        if (a != b) builder.add_pattern(a, b);
-  // Contact-group couplings (penalty blocks added later in place).
-  for (const auto& g : m.contact_groups)
-    for (int a : g)
-      for (int b : g)
-        if (a != b) builder.add_pattern(a, b);
-  builder.finalize_pattern();
+  // Cliques: the elements, then the contact groups. Each row is its node
+  // plus every node of every clique containing it, so the pattern comes from
+  // node -> clique incidence, built by counting sort.
+  auto clique = [&](int c) -> std::span<const int> {
+    if (c < ne) return m.hexes[static_cast<std::size_t>(c)];
+    return m.contact_groups[static_cast<std::size_t>(c - ne)];
+  };
+  std::vector<int> inc_ptr(static_cast<std::size_t>(nn) + 1, 0);
+  for (int c = 0; c < ncliques; ++c)
+    for (int v : clique(c)) {
+      GEOFEM_CHECK(v >= 0 && v < nn, "pattern index out of range");
+      ++inc_ptr[static_cast<std::size_t>(v) + 1];
+    }
+  std::partial_sum(inc_ptr.begin(), inc_ptr.end(), inc_ptr.begin());
+  std::vector<int> inc(static_cast<std::size_t>(inc_ptr.back()));
+  {
+    std::vector<int> next(inc_ptr.begin(), inc_ptr.end() - 1);
+    for (int c = 0; c < ncliques; ++c)
+      for (int v : clique(c)) inc[static_cast<std::size_t>(next[static_cast<std::size_t>(v)]++)] =
+          c;
+  }
 
+  sparse::BlockCSR pat;
+  pat.n = nn;
+  sparse::mark_and_sort_rows(
+      nn, nn,
+      [&](int i, auto&& emit) {
+        emit(i);  // the diagonal block is always present
+        for (int p = inc_ptr[static_cast<std::size_t>(i)];
+             p < inc_ptr[static_cast<std::size_t>(i) + 1]; ++p)
+          for (int j : clique(inc[static_cast<std::size_t>(p)])) emit(j);
+      },
+      pat.rowptr, pat.colind);
+  pat.val.assign(pat.colind.size() * sparse::kBB, 0.0);
+  return pat;
+}
+
+void add_element_stiffness(const mesh::HexMesh& m, const std::vector<Material>& materials,
+                           sparse::BlockCSR& mat) {
+  GEOFEM_CHECK(!materials.empty(), "need at least one material");
+  GEOFEM_CHECK(mat.n == m.num_nodes(), "add_element_stiffness: matrix size mismatch");
+  const int ne = m.num_elements();
+  // Scatter in (element, a, b) order, so every entry receives its
+  // contributions in element order, each added to the running sum.
   double ke[24 * 24];
-  for (std::size_t e = 0; e < m.hexes.size(); ++e) {
-    const auto& h = m.hexes[e];
+  for (int e = 0; e < ne; ++e) {
+    const auto& h = m.hexes[static_cast<std::size_t>(e)];
     std::array<std::array<double, 3>, 8> xyz;
     for (int v = 0; v < 8; ++v) xyz[static_cast<std::size_t>(v)] =
         m.coords[static_cast<std::size_t>(h[static_cast<std::size_t>(v)])];
-    const int zid = m.zone.empty() ? 0 : m.zone[e];
-    const Material& mat =
+    const int zid = m.zone.empty() ? 0 : m.zone[static_cast<std::size_t>(e)];
+    const Material& mat_e =
         materials[static_cast<std::size_t>(zid) < materials.size() ? static_cast<std::size_t>(zid)
                                                                    : 0];
-    hex_stiffness(xyz, mat, ke);
+    hex_stiffness(xyz, mat_e, ke);
+    // The element's local vertices by ascending node id: one merge walk of
+    // row h[a] then finds the entries of all 8 column nodes.
+    std::array<int, 8> by_node;
+    std::iota(by_node.begin(), by_node.end(), 0);
+    std::sort(by_node.begin(), by_node.end(), [&](int x, int y) {
+      return h[static_cast<std::size_t>(x)] < h[static_cast<std::size_t>(y)];
+    });
     for (int a = 0; a < 8; ++a) {
+      const int row = h[static_cast<std::size_t>(a)];
+      int entry[8];
+      int p = mat.rowptr[static_cast<std::size_t>(row)];
+      const int end = mat.rowptr[static_cast<std::size_t>(row) + 1];
+      for (int b : by_node) {
+        while (p < end && mat.colind[static_cast<std::size_t>(p)] != h[static_cast<std::size_t>(b)])
+          ++p;
+        GEOFEM_CHECK(p < end, "block not in pattern");
+        entry[b] = p;
+      }
       for (int b = 0; b < 8; ++b) {
-        double blk[9];
+        double* dst = mat.block(entry[b]);
         for (int r = 0; r < 3; ++r)
-          for (int c = 0; c < 3; ++c) blk[3 * r + c] = ke[(3 * a + r) * 24 + (3 * b + c)];
-        builder.add_block(h[static_cast<std::size_t>(a)], h[static_cast<std::size_t>(b)], blk);
+          for (int c = 0; c < 3; ++c) dst[3 * r + c] += ke[(3 * a + r) * 24 + (3 * b + c)];
       }
     }
   }
+}
 
+System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& materials) {
   System sys;
-  sys.a = builder.take();
+  sys.a = elasticity_pattern(m);
+  add_element_stiffness(m, materials, sys.a);
   sys.b.assign(sys.a.ndof(), 0.0);
   return sys;
 }

@@ -47,8 +47,23 @@ struct System {
   std::vector<double> b;
 };
 
-/// Assemble the elastic stiffness matrix over the mesh. `materials` is indexed
-/// by element zone id (a single entry applies everywhere). The sparsity
+/// Block sparsity pattern of the stiffness matrix, values zero: each node is
+/// coupled with itself and with every node it shares an element or a contact
+/// group with, columns ascending. Built from node -> element/group incidence
+/// with a per-row marker, so no duplicate is ever inserted, into exact-size
+/// arrays.
+sparse::BlockCSR elasticity_pattern(const mesh::HexMesh& m);
+
+/// Add every element stiffness matrix into `a`, whose pattern must hold all
+/// element couplings (elasticity_pattern). `materials` is indexed by element
+/// zone id (ids past the end use entry 0). Contributions are added in
+/// (element, a, b) order, so each entry sums its elements in element order.
+void add_element_stiffness(const mesh::HexMesh& m, const std::vector<Material>& materials,
+                           sparse::BlockCSR& a);
+
+/// Assemble the elastic stiffness matrix over the mesh: elasticity_pattern()
+/// then add_element_stiffness(). `materials` is indexed by element zone id (a
+/// single entry applies everywhere). The sparsity
 /// pattern also includes all intra-contact-group couplings so penalty blocks
 /// can be added in place afterwards.
 System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& materials);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sparse/pattern.hpp"
 #include "util/check.hpp"
 
 namespace geofem::reorder {
@@ -142,25 +143,32 @@ Coloring cm_rcm(const sparse::Graph& g, int target_colors) {
 sparse::Graph quotient_graph(const sparse::Graph& g, const std::vector<int>& vertex_to_super,
                              int num_supers) {
   GEOFEM_CHECK(static_cast<int>(vertex_to_super.size()) == g.n, "map size mismatch");
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(num_supers));
-  for (int v = 0; v < g.n; ++v) {
-    const int sv = vertex_to_super[static_cast<std::size_t>(v)];
-    for (int e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
-      const int sw = vertex_to_super[static_cast<std::size_t>(g.adjncy[static_cast<std::size_t>(e)])];
-      if (sv != sw) adj[static_cast<std::size_t>(sv)].push_back(sw);
-    }
+  auto super = [&](int v) { return vertex_to_super[static_cast<std::size_t>(v)]; };
+  // Members of each supernode, ascending, by counting sort.
+  std::vector<int> mem_ptr(static_cast<std::size_t>(num_supers) + 1, 0);
+  std::vector<int> mem(static_cast<std::size_t>(g.n));
+  for (int s : vertex_to_super) ++mem_ptr[static_cast<std::size_t>(s) + 1];
+  std::partial_sum(mem_ptr.begin(), mem_ptr.end(), mem_ptr.begin());
+  {
+    std::vector<int> next(mem_ptr.begin(), mem_ptr.end() - 1);
+    for (int v = 0; v < g.n; ++v)
+      mem[static_cast<std::size_t>(next[static_cast<std::size_t>(super(v))]++)] = v;
   }
   sparse::Graph q;
   q.n = num_supers;
-  q.xadj.assign(static_cast<std::size_t>(num_supers) + 1, 0);
-  for (int s = 0; s < num_supers; ++s) {
-    auto& a = adj[static_cast<std::size_t>(s)];
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-    q.xadj[s + 1] = q.xadj[s] + static_cast<int>(a.size());
-  }
-  q.adjncy.reserve(static_cast<std::size_t>(q.xadj[num_supers]));
-  for (auto& a : adj) q.adjncy.insert(q.adjncy.end(), a.begin(), a.end());
+  sparse::mark_and_sort_rows(
+      num_supers, num_supers,
+      [&](int s, auto&& emit) {
+        for (int p = mem_ptr[static_cast<std::size_t>(s)];
+             p < mem_ptr[static_cast<std::size_t>(s) + 1]; ++p) {
+          const int v = mem[static_cast<std::size_t>(p)];
+          for (int e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+            const int sw = super(g.adjncy[static_cast<std::size_t>(e)]);
+            if (sw != s) emit(sw);
+          }
+        }
+      },
+      q.xadj, q.adjncy);
   return q;
 }
 

@@ -152,15 +152,32 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
   lower_.resize(static_cast<std::size_t>(nchunks));
   upper_.resize(static_cast<std::size_t>(nchunks));
 
+  // Staging for one chunk's rows, reused across chunks: each row gets a
+  // slice as long as its CSR row; its lower-part (new column, source entry)
+  // pairs fill the slice from the front (lo_at, lo_len), its upper-part pairs
+  // from the back (up_at moves down as they arrive, up_len).
+  std::vector<int> lo_at, lo_len, up_at, up_len, plen;
+  std::vector<std::pair<int, int>> stage;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int begin = chunk_begin_[static_cast<std::size_t>(ch)];
     const int count = chunk_begin_[static_cast<std::size_t>(ch) + 1] - begin;
-    // Collect entries per row, split into lower/upper by *new* index; skip
+    const auto ucount = static_cast<std::size_t>(count);
+    lo_at.resize(ucount);
+    up_at.resize(ucount);
+    lo_len.assign(ucount, 0);
+    up_len.assign(ucount, 0);
+    int size = 0;
+    for (std::size_t t = 0; t < ucount; ++t) {
+      const int old = iperm_[static_cast<std::size_t>(begin) + t];
+      lo_at[t] = size;
+      size += a.rowptr[old + 1] - a.rowptr[old];
+      up_at[t] = size;
+    }
+    stage.resize(static_cast<std::size_t>(size));
+    // Split each row's entries into lower/upper by *new* index; skip
     // intra-supernode couplings (handled by the dense blocks above).
-    std::vector<std::vector<std::pair<int, int>>> lo(static_cast<std::size_t>(count)),
-        up(static_cast<std::size_t>(count));
-    for (int t = 0; t < count; ++t) {
-      const int in = begin + t;
+    for (std::size_t t = 0; t < ucount; ++t) {
+      const int in = begin + static_cast<int>(t);
       const int old = iperm_[static_cast<std::size_t>(in)];
       for (int e = a.rowptr[old]; e < a.rowptr[old + 1]; ++e) {
         const int jn = perm_[static_cast<std::size_t>(a.colind[e])];
@@ -169,45 +186,61 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
             range_of_row_[static_cast<std::size_t>(jn)] ==
                 range_of_row_[static_cast<std::size_t>(in)])
           continue;
-        (jn < in ? lo : up)[static_cast<std::size_t>(t)].emplace_back(jn, e);
+        if (jn < in) {
+          stage[static_cast<std::size_t>(lo_at[t] + lo_len[t]++)] = {jn, e};
+        } else {
+          stage[static_cast<std::size_t>(--up_at[t])] = {jn, e};
+          ++up_len[t];
+        }
       }
+      // Columns are distinct within a row, so the order is fully determined.
+      const auto row = stage.begin();
+      std::sort(row + lo_at[t], row + lo_at[t] + lo_len[t]);
+      std::sort(row + up_at[t], row + up_at[t] + up_len[t]);
     }
-    auto build = [&](std::vector<std::vector<std::pair<int, int>>>& rows, Jagged& out) {
+    auto build = [&](const std::vector<int>& at, const std::vector<int>& len, Jagged& out) {
       // Padded (suffix-max) lengths keep the jagged diagonals monotone when
       // supernode contiguity prevents a perfect descending sort (Fig 21).
-      std::vector<int> plen(static_cast<std::size_t>(count), 0);
-      for (int t = count - 1; t >= 0; --t) {
-        const int len = static_cast<int>(rows[static_cast<std::size_t>(t)].size());
+      plen.assign(ucount, 0);
+      for (int t = count - 1; t >= 0; --t)
         plen[static_cast<std::size_t>(t)] =
-            std::max(len, t + 1 < count ? plen[static_cast<std::size_t>(t) + 1] : 0);
-      }
+            std::max(len[static_cast<std::size_t>(t)],
+                     t + 1 < count ? plen[static_cast<std::size_t>(t) + 1] : 0);
       const int njd = count > 0 ? plen[0] : 0;
       out.jd_ptr.assign(static_cast<std::size_t>(njd) + 1, 0);
-      for (auto& r : rows)
-        std::sort(r.begin(), r.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (int j = 0, covered = count; j < njd; ++j) {
+        while (plen[static_cast<std::size_t>(covered) - 1] <= j) --covered;
+        out.jd_ptr[static_cast<std::size_t>(j) + 1] =
+            out.jd_ptr[static_cast<std::size_t>(j)] + covered;
+      }
+      // Every array at its final size, filled in place.
+      const auto total = static_cast<std::size_t>(out.jd_ptr.back());
+      out.item.resize(total);
+      out.src.resize(total);
+      out.val.resize(total * sparse::kBB);
       for (int j = 0; j < njd; ++j) {
-        int covered = 0;
-        while (covered < count && plen[static_cast<std::size_t>(covered)] > j) ++covered;
-        out.jd_ptr[static_cast<std::size_t>(j) + 1] = out.jd_ptr[static_cast<std::size_t>(j)] + covered;
+        const int p0 = out.jd_ptr[static_cast<std::size_t>(j)];
+        const int covered = out.jd_ptr[static_cast<std::size_t>(j) + 1] - p0;
         for (int t = 0; t < covered; ++t) {
-          const auto& r = rows[static_cast<std::size_t>(t)];
-          if (j < static_cast<int>(r.size())) {
-            out.item.push_back(r[static_cast<std::size_t>(j)].first);
-            out.src.push_back(r[static_cast<std::size_t>(j)].second);
-            const double* src = a.block(r[static_cast<std::size_t>(j)].second);
-            out.val.insert(out.val.end(), src, src + sparse::kBB);
+          const auto p = static_cast<std::size_t>(p0 + t);
+          double* dst = out.val.data() + p * sparse::kBB;
+          if (j < len[static_cast<std::size_t>(t)]) {
+            const auto [jn, e] =
+                stage[static_cast<std::size_t>(at[static_cast<std::size_t>(t)] + j)];
+            out.item[p] = jn;
+            out.src[p] = e;
+            std::copy(a.block(e), a.block(e) + sparse::kBB, dst);
           } else {
-            out.item.push_back(begin + t);  // dummy: zero block on own row
-            out.src.push_back(-1);
-            out.val.insert(out.val.end(), sparse::kBB, 0.0);
+            out.item[p] = begin + t;  // dummy: zero block on own row
+            out.src[p] = -1;
+            std::fill(dst, dst + sparse::kBB, 0.0);
             ++out.dummies;
           }
         }
       }
     };
-    build(lo, lower_[static_cast<std::size_t>(ch)]);
-    build(up, upper_[static_cast<std::size_t>(ch)]);
+    build(lo_at, lo_len, lower_[static_cast<std::size_t>(ch)]);
+    build(up_at, up_len, upper_[static_cast<std::size_t>(ch)]);
   }
 
   // ---- 7. Per-sweep loop pattern and entry count -------------------------

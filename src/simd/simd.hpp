@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -130,6 +131,14 @@ class IsaScope {
 /// for any vector ISA up to AVX-512. All hot value arrays (BlockCSR::val,
 /// DJDS values/diagonals, solver vectors) use it so vector loads never split
 /// cache lines and aligned intrinsics are always legal on array bases.
+///
+/// It over-allocates with plain `operator new` and aligns inside the block,
+/// keeping the block's address just below the aligned base. The aligned form
+/// of `operator new` (glibc memalign) asks for size + alignment + a minimum
+/// chunk, so with it an array can never reuse the exact-size hole a freed
+/// array of the same size leaves: rebuilding a model of the same size then
+/// grows the heap by the whole value array whenever that hole is fenced in
+/// by live blocks. A plain request of the same size fits the hole.
 template <class T>
 struct AlignedAllocator {
   using value_type = T;
@@ -140,10 +149,16 @@ struct AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kAlign}));
+    constexpr std::size_t kExtra = kAlign + sizeof(void*);
+    if (n > (static_cast<std::size_t>(-1) - kExtra) / sizeof(T)) throw std::bad_array_new_length();
+    void* block = ::operator new(n * sizeof(T) + kExtra);
+    const std::uintptr_t base =
+        (reinterpret_cast<std::uintptr_t>(block) + kExtra) & ~std::uintptr_t{kAlign - 1};
+    reinterpret_cast<void**>(base)[-1] = block;
+    return reinterpret_cast<T*>(base);
   }
   void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kAlign});
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
   }
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {

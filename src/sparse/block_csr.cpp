@@ -177,13 +177,19 @@ BlockCSRBuilder::BlockCSRBuilder(int n) : n_(n), cols_(static_cast<std::size_t>(
   for (int i = 0; i < n; ++i) cols_[i].push_back(i);  // diagonal always present
 }
 
+void BlockCSRBuilder::check_live() const {
+  GEOFEM_CHECK(!taken_, "BlockCSRBuilder used after take()");
+}
+
 void BlockCSRBuilder::add_pattern(int i, int j) {
+  check_live();
   GEOFEM_CHECK(!finalized_, "pattern already finalized");
   GEOFEM_CHECK(i >= 0 && i < n_ && j >= 0 && j < n_, "pattern index out of range");
   cols_[i].push_back(j);
 }
 
 void BlockCSRBuilder::finalize_pattern() {
+  check_live();
   GEOFEM_CHECK(!finalized_, "pattern already finalized");
   m_.n = n_;
   m_.rowptr.assign(static_cast<std::size_t>(n_) + 1, 0);
@@ -206,6 +212,7 @@ void BlockCSRBuilder::finalize_pattern() {
 }
 
 void BlockCSRBuilder::add_block(int i, int j, const double* b) {
+  check_live();
   GEOFEM_CHECK(finalized_, "pattern not finalized");
   const int e = m_.find(i, j);
   GEOFEM_CHECK(e >= 0, "block not in pattern");
@@ -214,6 +221,7 @@ void BlockCSRBuilder::add_block(int i, int j, const double* b) {
 }
 
 void BlockCSRBuilder::add_scalar(int i, int j, int r, int c, double v) {
+  check_live();
   GEOFEM_CHECK(finalized_, "pattern not finalized");
   const int e = m_.find(i, j);
   GEOFEM_CHECK(e >= 0, "block not in pattern");
@@ -221,8 +229,9 @@ void BlockCSRBuilder::add_scalar(int i, int j, int r, int c, double v) {
 }
 
 BlockCSR BlockCSRBuilder::take() {
+  check_live();
   GEOFEM_CHECK(finalized_, "pattern not finalized");
-  finalized_ = false;
+  taken_ = true;
   return std::move(m_);
 }
 

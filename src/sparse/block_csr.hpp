@@ -78,12 +78,16 @@ class BlockCSRBuilder {
   /// A(i,j)(r,c) += v
   void add_scalar(int i, int j, int r, int c, double v);
 
-  /// Move the finished matrix out.
+  /// Move the finished matrix out. The builder is spent afterwards: every
+  /// further call throws (its rows were consumed by finalize_pattern()).
   BlockCSR take();
 
  private:
+  void check_live() const;
+
   int n_;
   bool finalized_ = false;
+  bool taken_ = false;
   std::vector<std::vector<int>> cols_;  // pre-finalize adjacency
   BlockCSR m_;
 };
