@@ -47,8 +47,46 @@ SolveReport solve(const mesh::HexMesh& m, const std::vector<fem::Material>& mate
 
 namespace {
 
+/// Session preamble of both solve entries. Attaches cfg.registry (when set)
+/// to the calling thread for the duration of the call, so concurrent service
+/// workers record into their own registries without global state; runs every
+/// kernel below (SpMV, BLAS-1, substitution sweeps) on a team of cfg.threads
+/// OpenMP threads; records the team size and SIMD tier.
+class Session {
+ public:
+  explicit Session(const SolveConfig& cfg) : team_(cfg.threads) {
+    if (cfg.registry) attach_.emplace(cfg.registry);
+    if (obs::Registry* reg = obs::current()) {
+      reg->gauge("core.threads")->set(static_cast<double>(par::threads()));
+      reg->gauge("core.simd_lane_width")->set(static_cast<double>(simd::lane_width()));
+      reg->set_meta("simd.isa", simd::active_isa());
+    }
+  }
+
+ private:
+  par::TeamScope team_;
+  std::optional<obs::Attach> attach_;
+};
+
+/// plan[(perm[i]·3 + d)·k + c] = mesh[i·3 + d]: a mesh-ordered vector into
+/// column c of a k-column interleaved vector in the PDJDS plan's ordering.
+void to_plan_order(const std::vector<int>& perm, std::span<const double> mesh,
+                   std::span<double> plan, std::size_t k = 1, std::size_t c = 0) {
+  for (std::size_t i = 0; i < perm.size(); ++i)
+    for (std::size_t d = 0; d < 3; ++d)
+      plan[(static_cast<std::size_t>(perm[i]) * 3 + d) * k + c] = mesh[i * 3 + d];
+}
+
+/// The inverse of to_plan_order: column c of `plan` back into mesh ordering.
+void to_mesh_order(const std::vector<int>& perm, std::span<const double> plan,
+                   std::span<double> mesh, std::size_t k = 1, std::size_t c = 0) {
+  for (std::size_t i = 0; i < perm.size(); ++i)
+    for (std::size_t d = 0; d < 3; ++d)
+      mesh[i * 3 + d] = plan[(static_cast<std::size_t>(perm[i]) * 3 + d) * k + c];
+}
+
 /// Outcome of the structure + numeric set-up phase shared by the single-RHS
-/// attempt loop and the batched entry: the (possibly cached) plan and the
+/// attempts and the batched entry: the (possibly cached) plan and the
 /// ready preconditioner.
 struct Setup {
   std::shared_ptr<const plan::SolvePlan> plan;
@@ -146,12 +184,12 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
   return Setup{std::move(p), std::move(prec)};
 }
 
-/// One set-up + CG attempt with preconditioner `kind`: the body of the
-/// pre-resilience solve_system, parameterized so the fallback loop can rerun
-/// it. `x0` (mesh ordering) warm-starts CG; null starts from zero. Throws
+/// One set-up + CG attempt with preconditioner `kind` on a fresh iteration
+/// budget: the serial fallback ladder's attempt. `x0` (mesh ordering)
+/// warm-starts CG; null starts from zero. Throws
 /// geofem::Error(kFactorizationFailed) if the factorization hits an unusable
 /// pivot. Fills everything in the report except status / attempts /
-/// fallback_* (owned by the caller).
+/// fallback_* / precision_fallbacks (owned by the ladder).
 SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
                           const SolveConfig& cfg, PrecondKind kind,
                           const solver::CGOptions& cgopt, const std::vector<double>* x0,
@@ -173,29 +211,15 @@ SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
   // PDJDS/MC path: the plan owns the ordering; solve in the new ordering and
   // permute back.
   const reorder::DJDSMatrix& dj = *s.plan->djds();
-
   std::vector<double> pb(sys.a.ndof()), px(sys.a.ndof(), 0.0);
-  for (int i = 0; i < sys.a.n; ++i)
-    for (int c = 0; c < 3; ++c)
-      pb[static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
-         static_cast<std::size_t>(c)] =
-          sys.b[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)];
-  if (x0)
-    for (int i = 0; i < sys.a.n; ++i)
-      for (int c = 0; c < 3; ++c)
-        px[static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
-           static_cast<std::size_t>(c)] =
-            (*x0)[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)];
+  to_plan_order(dj.perm(), sys.b, pb);
+  if (x0) to_plan_order(dj.perm(), *x0, px);
   rep.cg = solver::pcg(
       [&dj](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
             util::LoopStats* ls) { dj.spmv(in, out, fc, ls); },
       *prec, pb, px, cgopt);
   rep.solution.assign(sys.a.ndof(), 0.0);
-  for (int i = 0; i < sys.a.n; ++i)
-    for (int c = 0; c < 3; ++c)
-      rep.solution[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)] =
-          px[static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
-             static_cast<std::size_t>(c)];
+  to_mesh_order(dj.perm(), px, rep.solution);
   return rep;
 }
 
@@ -203,144 +227,40 @@ SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
 
 SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
                          const SolveConfig& cfg) {
-  // Re-entrant session entry: attach the caller-provided registry for the
-  // duration of this call only (restored on return), so concurrent service
-  // workers record into their service's registry without global state.
-  std::optional<obs::Attach> session_attach;
-  if (cfg.registry) session_attach.emplace(cfg.registry);
-  // Hybrid execution: every kernel below (SpMV, BLAS-1, substitution sweeps)
-  // runs on a team of cfg.threads OpenMP threads.
-  par::TeamScope team_scope(cfg.threads);
-  if (obs::Registry* r0 = obs::current()) {
-    r0->gauge("core.threads")->set(static_cast<double>(par::threads()));
-    r0->gauge("core.simd_lane_width")->set(static_cast<double>(simd::lane_width()));
-    r0->set_meta("simd.isa", simd::active_isa());
-  }
-  obs::Registry* reg0 = obs::current();
+  const Session session(cfg);
 
-  // fp32 rung: when cfg.precision is kSingle the first set-up stores fp32
-  // factors; stagnation or an fp32-induced breakdown triggers exactly one
-  // fp64 re-set-up with a COLD restart (x = 0, the caller's own CG options),
-  // so the recovery's residual history is bit-identical to a direct fp64
-  // solve. Armed independently of cfg.resilience.enabled.
-  int precision_burnt_iters = 0;
-  double precision_burnt_setup = 0.0;
-  bool precision_fell = false;
-  if (cfg.precision == precond::Precision::kSingle) {
-    // Give the fp32 attempt a stagnation window (unless the caller set one)
-    // so a stalled inexact-M attempt fails fast instead of burning maxiter.
-    solver::CGOptions cgopt32 = cfg.cg;
-    if (cgopt32.stagnation_window == 0)
-      cgopt32.stagnation_window = cfg.resilience.stagnation_window;
-    bool built = false;
-    SolveReport r;
-    try {
-      r = attempt_solve(sys, sn, cfg, cfg.precond, cgopt32, nullptr,
-                        precond::Precision::kSingle);
-      built = true;
-    } catch (const Error& e) {
-      if (e.code() != StatusCode::kFactorizationFailed) throw;
-    }
-    if (built && ok(r.cg.status)) {
-      r.status = r.cg.status;
-      r.attempts = {cfg.precond};
-      return r;
-    }
-    precision_burnt_iters = built ? r.cg.iterations : 0;
-    precision_burnt_setup = built ? r.setup_seconds : 0.0;
-    precision_fell = true;
-    if (reg0) reg0->counter("core.fallback.precision")->add(1);
-  }
-
-  // Merge the fp32 bookkeeping into whatever the fp64 path below produced.
-  const auto finish = [&](SolveReport rep) {
-    if (precision_fell) {
-      rep.precision_fallbacks = 1;
-      rep.fallback_iterations += precision_burnt_iters;
-      rep.fallback_setup_seconds += precision_burnt_setup;
-      if (rep.status == SolveStatus::kConverged) rep.status = SolveStatus::kFellBack;
-    }
-    return rep;
-  };
-
-  if (!cfg.resilience.enabled) {
-    SolveReport rep =
-        attempt_solve(sys, sn, cfg, cfg.precond, cfg.cg, nullptr, precond::Precision::kDouble);
-    rep.status = rep.cg.status;
-    rep.attempts = {cfg.precond};
-    return finish(std::move(rep));
-  }
-
-  // Resilient path. Give the inner CG a stagnation window (unless the caller
-  // set one) so a stalled attempt fails fast enough to leave budget for the
-  // fallback rungs.
-  solver::CGOptions cgopt = cfg.cg;
-  if (cgopt.stagnation_window == 0) cgopt.stagnation_window = cfg.resilience.stagnation_window;
-
-  std::vector<PrecondKind> kinds{cfg.precond};
-  {
-    const auto chain = cfg.resilience.chain.empty() ? default_fallback_chain(cfg.precond)
-                                                    : cfg.resilience.chain;
-    for (PrecondKind k : chain) {
-      if (k == cfg.precond) continue;
-      if (static_cast<int>(kinds.size()) - 1 >= cfg.resilience.max_fallbacks) break;
-      kinds.push_back(k);
-    }
-  }
-
-  obs::Registry* reg = obs::current();
-  SolveReport out;
-  std::vector<PrecondKind> attempted;
-  std::vector<double> warm;  // best iterate so far, mesh ordering
-  bool have_warm = false;
-  int burnt_iterations = 0;
-  double burnt_setup = 0.0;
-  SolveStatus last_status = SolveStatus::kFactorizationFailed;
-
-  for (std::size_t t = 0; t < kinds.size(); ++t) {
-    attempted.push_back(kinds[t]);
-    // The PDJDS orderings only vectorize the no-fill kinds; any other rung
-    // (notably the last-resort block diagonal, which needs no reordering)
-    // runs in the natural ordering instead of tripping the plan's check.
+  // One attempt of the fallback ladder (geofem::run_fallback_ladder): set-up
+  // and CG on a fresh iteration budget. Rung i > 0 is chain[i - 1]. A warm
+  // start continues from the last attempt that ran since the last cold one.
+  const std::vector<PrecondKind> chain = fallback_chain(cfg.resilience, cfg.precond);
+  SolveReport out;   // the last attempt that ran CG
+  bool warm = false;  // out.solution is the iterate a warm start continues
+  const auto attempt = [&](int rung, precond::Precision precision, solver::CGStart start,
+                           const solver::CGOptions& cgopt) {
+    const PrecondKind kind = rung == 0 ? cfg.precond : chain[static_cast<std::size_t>(rung - 1)];
+    // The PDJDS orderings only vectorize the no-fill kinds; a fallback rung of
+    // any other kind (notably the last-resort block diagonal, which needs no
+    // reordering) runs in the natural ordering instead of tripping the plan's
+    // check.
     SolveConfig acfg = cfg;
-    if (!plan::ordering_supports(acfg.ordering, kinds[t]))
+    if (rung > 0 && !plan::ordering_supports(acfg.ordering, kind))
       acfg.ordering = OrderingKind::kNatural;
-    SolveReport r;
-    try {
-      r = attempt_solve(sys, sn, acfg, kinds[t], cgopt, have_warm ? &warm : nullptr,
-                        precond::Precision::kDouble);
-    } catch (const Error& e) {
-      if (e.code() != StatusCode::kFactorizationFailed) throw;
-      last_status = SolveStatus::kFactorizationFailed;
-      if (reg) reg->counter("core.fallback.factorization_failed")->add(1);
-      continue;
-    }
-    if (ok(r.cg.status)) {
-      out = std::move(r);
-      out.status = t == 0 ? SolveStatus::kConverged : SolveStatus::kFellBack;
-      out.attempts = std::move(attempted);
-      out.fallback_iterations = burnt_iterations;
-      out.fallback_setup_seconds = burnt_setup;
-      if (t > 0 && reg) reg->counter("core.fallback.recovered")->add(1);
-      return finish(std::move(out));
-    }
-    last_status = r.cg.status;
-    burnt_iterations += r.cg.iterations;
-    burnt_setup += r.setup_seconds;
-    warm = r.solution;  // warm-start the next rung from the partial iterate
-    have_warm = true;
-    out = std::move(r);
-    if (reg) reg->counter("core.fallback.attempts")->add(1);
-  }
+    if (start == solver::CGStart::kCold) warm = false;
+    out = attempt_solve(sys, sn, acfg, kind, cgopt, warm ? &out.solution : nullptr, precision);
+    warm = true;
+    return AttemptOutcome{out.cg.status, out.cg.iterations, out.setup_seconds};
+  };
+  const LadderResult lad =
+      run_fallback_ladder(cfg, static_cast<int>(chain.size()), "core", attempt);
 
-  // Every rung failed: report the last completed attempt (or an empty report
-  // if every factorization threw), with the chain-wide bookkeeping.
-  out.status = last_status;
-  out.fallback_iterations = burnt_iterations - out.cg.iterations;
-  out.fallback_setup_seconds = burnt_setup - out.setup_seconds;
-  out.attempts = std::move(attempted);
-  if (reg) reg->counter("core.fallback.exhausted")->add(1);
-  return finish(std::move(out));
+  // `out` is still an empty report when no attempt ran (every build failed).
+  out.status = lad.status;
+  out.attempts = {cfg.precond};
+  out.attempts.insert(out.attempts.end(), chain.begin(), chain.begin() + lad.rungs);
+  out.fallback_iterations = lad.fallback_iterations;
+  out.fallback_setup_seconds = lad.fallback_setup_seconds;
+  out.precision_fallbacks = lad.precision_fallbacks;
+  return out;
 }
 
 std::vector<SolveReport> solve_system_batched(const fem::System& sys,
@@ -375,14 +295,7 @@ std::vector<SolveReport> solve_system_batched(const fem::System& sys,
   GEOFEM_CHECK(!cfg.resilience.enabled,
                "solve_system_batched: k > 1 is a direct solve (no resilience chain)");
 
-  std::optional<obs::Attach> session_attach;
-  if (cfg.registry) session_attach.emplace(cfg.registry);
-  par::TeamScope team_scope(cfg.threads);
-  if (obs::Registry* r0 = obs::current()) {
-    r0->gauge("core.threads")->set(static_cast<double>(par::threads()));
-    r0->gauge("core.simd_lane_width")->set(static_cast<double>(simd::lane_width()));
-    r0->set_meta("simd.isa", simd::active_isa());
-  }
+  const Session session(cfg);
 
   SolveReport base;
   Setup s = setup_solve(sys, sn, cfg, cfg.precond, cfg.precision, base);
@@ -405,13 +318,7 @@ std::vector<SolveReport> solve_system_batched(const fem::System& sys,
     // PDJDS/MC path: permute every column into the plan's ordering, solve,
     // permute back below.
     const reorder::DJDSMatrix& dj = *s.plan->djds();
-    for (std::size_t c = 0; c < kk; ++c)
-      for (int i = 0; i < sys.a.n; ++i)
-        for (int d = 0; d < 3; ++d)
-          bi[(static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
-              static_cast<std::size_t>(d)) *
-                 kk +
-             c] = rhs[c][static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(d)];
+    for (std::size_t c = 0; c < kk; ++c) to_plan_order(dj.perm(), rhs[c], bi, kk, c);
     bres = solver::pcg_batched(
         [&dj](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
               util::LoopStats* ls) { dj.spmv(in, out, fc, ls); },
@@ -435,14 +342,7 @@ std::vector<SolveReport> solve_system_batched(const fem::System& sys,
     if (natural) {
       for (std::size_t d = 0; d < nd; ++d) rep.solution[d] = xi[d * kk + c];
     } else {
-      const reorder::DJDSMatrix& dj = *s.plan->djds();
-      for (int i = 0; i < sys.a.n; ++i)
-        for (int d = 0; d < 3; ++d)
-          rep.solution[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(d)] =
-              xi[(static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
-                  static_cast<std::size_t>(d)) *
-                     kk +
-                 c];
+      to_mesh_order(s.plan->djds()->perm(), xi, rep.solution, kk, c);
     }
     out.push_back(std::move(rep));
   }

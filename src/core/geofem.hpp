@@ -57,14 +57,15 @@ struct SolveConfig : SolveOptionsBase {
 };
 
 struct SolveReport {
-  /// Outcome of the whole pipeline. Equal to cg.status for a direct solve;
-  /// kFellBack when a fallback rebuild recovered convergence;
-  /// kFactorizationFailed when every attempted factorization threw.
+  /// Outcome of the whole pipeline (geofem::run_fallback_ladder). Equal to
+  /// cg.status for a direct solve; kFellBack when an fp64 re-set-up or a
+  /// fallback rebuild recovered convergence; else the last attempt's status.
   SolveStatus status = SolveStatus::kMaxIterations;
-  /// Preconditioner kinds tried in order; the last one produced `cg`.
+  /// Preconditioner kinds tried in order (fp32 and its fp64 re-set-up count
+  /// once); `cg`/`solution` are the last attempt that ran CG (empty if none).
   std::vector<PrecondKind> attempts;
-  /// CG iterations / set-up seconds burnt in earlier failed attempts (zero
-  /// for a direct solve).
+  /// CG iterations / set-up seconds of every other attempt that ran (zero
+  /// for a direct solve); each attempt had a fresh iteration budget.
   int fallback_iterations = 0;
   double fallback_setup_seconds = 0.0;
   solver::CGResult cg;
@@ -74,7 +75,8 @@ struct SolveReport {
   /// (Desc::display_name()), kept for table/report compatibility.
   precond::Desc precond;
   std::string precond_name;
-  /// fp32 attempts re-set-up at fp64 after stagnation/breakdown (0 or 1).
+  /// fp32 attempts re-set-up at fp64 after stagnation/breakdown/narrowing
+  /// overflow (0 or 1).
   int precision_fallbacks = 0;
   double setup_seconds = 0.0;      ///< reorder + factorization
   std::size_t matrix_bytes = 0;

@@ -1,5 +1,11 @@
 #include "core/resilience.hpp"
 
+#include <algorithm>
+#include <string>
+
+#include "core/options.hpp"
+#include "obs/registry.hpp"
+
 namespace geofem {
 
 std::vector<plan::PrecondKind> default_fallback_chain(plan::PrecondKind primary) {
@@ -17,6 +23,93 @@ std::vector<plan::PrecondKind> default_fallback_chain(plan::PrecondKind primary)
       return {};
   }
   return {};
+}
+
+std::vector<plan::PrecondKind> fallback_chain(const ResilienceOptions& res,
+                                              plan::PrecondKind primary) {
+  std::vector<plan::PrecondKind> chain =
+      res.chain.empty() ? default_fallback_chain(primary) : res.chain;
+  std::erase(chain, primary);
+  return chain;
+}
+
+bool fallback_armed(const core::SolveOptionsBase& opt) {
+  return opt.resilience.enabled || opt.precision == precond::Precision::kSingle;
+}
+
+LadderResult run_fallback_ladder(const core::SolveOptionsBase& opt, int rungs,
+                                 std::string_view prefix, const AttemptFn& attempt) {
+  using precond::Precision;
+  const ResilienceOptions& res = opt.resilience;
+  const bool armed = fallback_armed(opt);
+  obs::Registry* reg = obs::current();
+  const auto count = [&](const char* event) {
+    if (reg) reg->counter(std::string(prefix) + ".fallback." + event)->add(1);
+  };
+
+  // Resilience gives CG a stagnation window (unless the caller set one) so a
+  // stalled attempt fails fast enough to leave budget for the fallback rungs;
+  // an fp32 primary gets one regardless, so a stalled inexact M fails fast
+  // instead of burning the budget the fp64 re-set-up needs.
+  solver::CGOptions cg = opt.cg;
+  if (res.enabled && cg.stagnation_window == 0) cg.stagnation_window = res.stagnation_window;
+  const bool fp32 = opt.precision == Precision::kSingle;
+  solver::CGOptions primary = cg;
+  if (fp32 && primary.stagnation_window == 0) primary.stagnation_window = res.stagnation_window;
+
+  LadderResult out;
+  AttemptOutcome last;  // the last attempt that ran CG
+  bool detour = false;
+  const auto run = [&](int rung, Precision precision, solver::CGStart start,
+                       const solver::CGOptions& o) {
+    AttemptOutcome a;
+    try {
+      a = attempt(rung, precision, start, o);
+    } catch (const Error& e) {
+      if (e.code() != StatusCode::kFactorizationFailed || !armed) throw;
+      a = AttemptOutcome{};
+    }
+    if (a.status != SolveStatus::kFactorizationFailed) {
+      out.fallback_iterations += last.iterations;
+      out.fallback_setup_seconds += last.setup_seconds;
+      last = a;
+    }
+    // The resilience counters cover the fp64 attempts; the fp32 primary's
+    // failure is counted as the precision fallback it triggers.
+    if (res.enabled && precision == Precision::kDouble) {
+      if (a.status == SolveStatus::kFactorizationFailed) {
+        count("factorization_failed");
+      } else if (!ok(a.status)) {
+        count("attempts");
+      } else if (rung > 0) {
+        count("recovered");
+      }
+    }
+    return a.status;
+  };
+
+  SolveStatus st = run(0, opt.precision, solver::CGStart::kCold, primary);
+  if (fp32 && !ok(st)) {
+    // The cold restart with the user's options is what makes the recovery's
+    // residual history bit-identical to a direct fp64 solve (DESIGN.md §5i).
+    detour = true;
+    out.precision_fallbacks = 1;
+    count("precision");
+    st = run(0, Precision::kDouble, solver::CGStart::kCold, cg);
+  }
+  if (res.enabled) {
+    // The rungs rebuild at fp64: a fallback exists to restore convergence,
+    // not to preserve the precision experiment.
+    const int n = std::min(rungs, std::max(res.max_fallbacks, 0));
+    for (int i = 1; i <= n && !ok(st); ++i) {
+      detour = true;
+      out.rungs = i;
+      st = run(i, Precision::kDouble, solver::CGStart::kWarm, cg);
+    }
+    if (!ok(st)) count("exhausted");
+  }
+  out.status = detour && ok(st) ? SolveStatus::kFellBack : st;
+  return out;
 }
 
 }  // namespace geofem

@@ -1,8 +1,17 @@
 #pragma once
 
+#include <functional>
+#include <string_view>
 #include <vector>
 
+#include "core/status.hpp"
 #include "plan/fingerprint.hpp"
+#include "precond/desc.hpp"
+#include "solver/cg.hpp"
+
+namespace geofem::core {
+struct SolveOptionsBase;
+}
 
 namespace geofem {
 
@@ -43,5 +52,60 @@ struct ResilienceOptions {
 /// SB-BIC(0) itself falls back straight to the block diagonal; the diagonal
 /// kinds have nowhere further to go.
 [[nodiscard]] std::vector<plan::PrecondKind> default_fallback_chain(plan::PrecondKind primary);
+
+/// The fallback rungs of `primary` in order: `res.chain` (or the default
+/// chain when it is empty) without the entries equal to `primary`.
+[[nodiscard]] std::vector<plan::PrecondKind> fallback_chain(const ResilienceOptions& res,
+                                                            plan::PrecondKind primary);
+
+/// Whether a failed attempt has a next rung (resilience on, or fp32 factors
+/// and their fp64 re-set-up): an armed solve turns a factorization failure
+/// into kFactorizationFailed, a disarmed one lets the geofem::Error escape.
+[[nodiscard]] bool fallback_armed(const core::SolveOptionsBase& opt);
+
+/// What one attempt of the fallback ladder did: its status, the CG
+/// iterations it spent and its set-up seconds. The default is a failed build.
+struct AttemptOutcome {
+  SolveStatus status = SolveStatus::kFactorizationFailed;
+  int iterations = 0;
+  double setup_seconds = 0.0;
+};
+
+/// One attempt: build the preconditioner of `rung` (0 = the primary; i >= 1
+/// = the caller's i-th fallback rung) at `precision`, start CG from `start`
+/// and run it with `cg`. A failed build throws Error(kFactorizationFailed)
+/// or returns that status; a distributed caller returns it once every rank
+/// agrees the build failed.
+using AttemptFn = std::function<AttemptOutcome(int rung, precond::Precision precision,
+                                               solver::CGStart start,
+                                               const solver::CGOptions& cg)>;
+
+struct LadderResult {
+  /// The last attempt's status; kFellBack when it is ok after a detour.
+  SolveStatus status = SolveStatus::kFactorizationFailed;
+  int rungs = 0;  ///< resilience rungs attempted after the primary
+  /// Iterations / set-up seconds of every attempt that ran CG, except the
+  /// last one (whose result the caller reports).
+  int fallback_iterations = 0;
+  double fallback_setup_seconds = 0.0;
+  int precision_fallbacks = 0;  ///< fp64 re-set-ups of an fp32 primary (0 or 1)
+};
+
+/// The fallback ladder of serial and distributed solves, in the paper's
+/// robustness order (Table 2):
+///   1. the primary at opt.precision, cold start;
+///   2. when that is fp32 and fails: one fp64 re-set-up of the primary, cold
+///      start, with the user's CG options (counted as a precision fallback);
+///   3. with resilience on: rungs 1..min(rungs, max_fallbacks) at fp64, each
+///      restarting warm, until one is ok.
+/// Resilience defaults the CG stagnation window from
+/// opt.resilience.stagnation_window when the caller set none; an fp32 primary
+/// gets that window even with resilience off. Factorization failures are
+/// caught when fallback_armed(opt) and propagate otherwise. Events are
+/// counted as `<prefix>.fallback.{precision,factorization_failed,attempts,
+/// recovered,exhausted}` in obs::current().
+[[nodiscard]] LadderResult run_fallback_ladder(const core::SolveOptionsBase& opt, int rungs,
+                                               std::string_view prefix,
+                                               const AttemptFn& attempt);
 
 }  // namespace geofem

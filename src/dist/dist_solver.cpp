@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "obs/span.hpp"
 #include "par/par.hpp"
@@ -218,47 +219,32 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     // peer still waiting on it, so the whole run terminates within a few
     // deadlines instead of hanging.
     try {
-      // CG controls; resilience supplies a stagnation window if the caller
-      // left detection off, so a stalled attempt fails fast enough to leave
-      // budget for the fallback rung. The fp32 safety net arms one too
-      // (independent of resilience.enabled): an fp32-preconditioned CG that
-      // stalls must fail fast so the fp64 re-setup gets the budget — the
-      // user's window is restored for the fp64 retry.
-      solver::CGOptions cgopt = opt.cg;
-      if (cgopt.stagnation_window == 0 && opt.resilience.enabled)
-        cgopt.stagnation_window = opt.resilience.stagnation_window;
-      const int user_window = cgopt.stagnation_window;
-      const bool fp32 = opt.precision == precond::Precision::kSingle;
-      if (fp32 && cgopt.stagnation_window == 0)
-        cgopt.stagnation_window = opt.resilience.stagnation_window;
-
       // localized preconditioner on the internal submatrix (aii must outlive
       // prec: preconditioners keep a reference to their matrix)
       util::Timer setup;
       const sparse::BlockCSR aii = ls.internal_matrix();
       precond::PreconditionerPtr prec;
-      bool build_failed = false;
+      // Builds `prec` with `f`. When the solve is armed, a rank-local
+      // factorization failure becomes a global decision through one
+      // allreduce_max, so every rank takes the same fallback branch.
+      const bool armed = fallback_armed(opt);
+      const auto build = [&](const PrecondFactory& f, precond::Precision precision) {
+        bool failed = false;
+        try {
+          prec = f(ls, aii, precision);
+        } catch (const Error& e) {
+          if (e.code() != StatusCode::kFactorizationFailed || !armed) throw;
+          failed = true;
+        }
+        if (armed) failed = comm.allreduce_max(failed ? 1.0 : 0.0) > 0.0;
+        if (!failed) res.precond_bytes_per_rank[rank] = prec->memory_bytes();
+        return !failed;
+      };
+      bool built = false;
       {
         obs::ScopedSpan setup_span("dist.setup");
-        if (opt.resilience.enabled || fp32) {
-          // fp32 narrowing overflow surfaces as kFactorizationFailed and is
-          // caught here even with resilience off — the fp64 re-setup below is
-          // always armed under kSingle.
-          try {
-            prec = factory(ls, aii, opt.precision);
-          } catch (const Error& e) {
-            if (e.code() != StatusCode::kFactorizationFailed) throw;
-            build_failed = true;
-          }
-        } else {
-          prec = factory(ls, aii, opt.precision);
-        }
+        built = build(factory, opt.precision);
       }
-      // A rank-local factorization failure must become a global decision —
-      // every rank takes the fallback branch together.
-      bool build_failed_global = false;
-      if (opt.resilience.enabled || fp32)
-        build_failed_global = comm.allreduce_max(build_failed ? 1.0 : 0.0) > 0.0;
 
       // Two-level set-up, numeric half: each rank assembles its Galerkin
       // contribution from ls.a (internal rows, ALL local columns — that is
@@ -311,7 +297,6 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           rank_reg.gauge("dist.coarse.setup_seconds")->set(coarse_timer.seconds());
       }
       setup_seconds[rank] = setup.seconds();
-      if (prec) res.precond_bytes_per_rank[rank] = prec->memory_bytes();
       const std::size_t solve_span =
           opt.telemetry ? rank_reg.span_begin("dist.solve") : std::size_t{0};
       util::Timer solve_timer;
@@ -404,7 +389,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
 
       // The one CG engine (solver::CGEngine) bound to this rank: every exit
       // decision derives from allreduced scalars, so all ranks leave each
-      // attempt with the same status, and every run draws on one shared
+      // attempt with the same status, and every attempt draws on one shared
       // iteration budget.
       solver::CGEngine engine({.n = ni,
                                .halo = nl - ni,
@@ -412,90 +397,39 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
                                .apply_m = apply_precond,
                                .sum = allreduce},
                               ls.b, x, cg);
-      auto run_on = [&](const precond::Preconditioner& m) {
-        current = &m;
-        engine.run(cgopt);
-        return cg.status;
+
+      // One attempt of the fallback ladder (run_fallback_ladder). Rung 0 is
+      // `factory`; the rungs after it are the caller's fallback factory (when
+      // set), then the localized block diagonal, which always builds. The
+      // set-up above built the first attempt's preconditioner, and its cold
+      // start opens the history even when that build failed; a later attempt
+      // starts only once built.
+      const PrecondFactory block_diag = [](const part::LocalSystem&, const sparse::BlockCSR& m,
+                                           precond::Precision) {
+        return std::make_unique<precond::BlockDiagonal>(m);
       };
-
-      engine.start(solver::CGStart::kCold, cgopt);
-      SolveStatus st =
-          build_failed_global ? SolveStatus::kFactorizationFailed : run_on(*prec);
-
-      if (fp32 && !ok(st)) {
-        // fp32-induced stagnation/breakdown (or narrowing overflow at
-        // set-up): re-set-up the fp64 plan on every rank together — the
-        // decision above derives from allreduced scalars, so all ranks
-        // rebuild in lockstep — and restart COLD. The cold restart is what
-        // makes the recovery's residual history bit-identical to a direct
-        // fp64 solve of the same system.
-        burnt_iters[rank] = cg.iterations;
-        // The re-set-up itself is the counted event (like the serial path):
-        // it happened on every rank together whether or not the fp64 retry
-        // then converges.
-        pfell[rank] = 1;
-        if (opt.telemetry) rank_reg.counter("dist.fallback.precision")->add(1);
-        precond::PreconditionerPtr fb64;
-        bool fb_failed = false;
-        try {
-          fb64 = factory(ls, aii, precond::Precision::kDouble);
-        } catch (const Error& e) {
-          if (e.code() != StatusCode::kFactorizationFailed) throw;
-          fb_failed = true;
+      std::vector<const PrecondFactory*> rungs{&factory};
+      if (opt.fallback_factory) rungs.push_back(&opt.fallback_factory);
+      rungs.push_back(&block_diag);
+      bool first = true;
+      const auto attempt = [&](int rung, precond::Precision precision, solver::CGStart start,
+                               const solver::CGOptions& cgopt) {
+        if (!std::exchange(first, false)) {
+          built = build(*rungs[static_cast<std::size_t>(rung)], precision);
+          if (!built) return AttemptOutcome{};
         }
-        if (comm.allreduce_max(fb_failed ? 1.0 : 0.0) > 0.0) {
-          st = SolveStatus::kFactorizationFailed;
-        } else {
-          res.precond_bytes_per_rank[rank] = fb64->memory_bytes();
-          cgopt.stagnation_window = user_window;
-          engine.start(solver::CGStart::kCold, cgopt);
-          const SolveStatus retried = run_on(*fb64);
-          st = ok(retried) ? SolveStatus::kFellBack : retried;
-          prec = std::move(fb64);
-        }
-      }
-
-      if (opt.resilience.enabled && !ok(st)) {
-        // Fallback rungs, tried in order while attempts keep failing: the
-        // caller's fallback factory (when set), then the localized block
-        // diagonal, which always builds — capped at resilience.max_fallbacks
-        // rebuilds. Every decision below derives from allreduced scalars, so
-        // all ranks walk the same rungs in lockstep; CG restarts warm from
-        // the partial iterate each time.
-        std::vector<const PrecondFactory*> rungs;
-        const PrecondFactory block_diag = [](const part::LocalSystem&,
-                                             const sparse::BlockCSR& m, precond::Precision) {
-          return std::make_unique<precond::BlockDiagonal>(m);
-        };
-        if (opt.fallback_factory) rungs.push_back(&opt.fallback_factory);
-        rungs.push_back(&block_diag);
-        const auto nrungs = std::min(
-            rungs.size(), static_cast<std::size_t>(std::max(opt.resilience.max_fallbacks, 0)));
-        for (std::size_t rung = 0; rung < nrungs && !ok(st); ++rung) {
-          burnt_iters[rank] = cg.iterations;
-          precond::PreconditionerPtr fb;
-          bool fb_failed = false;
-          try {
-            // Ordinary rungs always rebuild at fp64: a fallback exists to
-            // restore convergence, not to preserve the precision experiment.
-            fb = (*rungs[rung])(ls, aii, precond::Precision::kDouble);
-          } catch (const Error& e) {
-            if (e.code() != StatusCode::kFactorizationFailed) throw;
-            fb_failed = true;
-          }
-          if (comm.allreduce_max(fb_failed ? 1.0 : 0.0) > 0.0) {
-            st = SolveStatus::kFactorizationFailed;
-            continue;
-          }
-          res.precond_bytes_per_rank[rank] = fb->memory_bytes();
-          engine.start(solver::CGStart::kWarm, cgopt);
-          const SolveStatus retried = run_on(*fb);
-          st = ok(retried) ? SolveStatus::kFellBack : retried;
-          if (opt.telemetry && ok(retried)) rank_reg.counter("dist.fallback.recovered")->add(1);
-        }
-      }
-
-      statuses[rank] = st;
+        const int before = cg.iterations;
+        engine.start(start, cgopt);
+        if (!built) return AttemptOutcome{};
+        current = prec.get();
+        engine.run(cgopt);
+        return AttemptOutcome{cg.status, cg.iterations - before};
+      };
+      const LadderResult lad =
+          run_fallback_ladder(opt, static_cast<int>(rungs.size()) - 1, "dist", attempt);
+      statuses[rank] = lad.status;
+      burnt_iters[rank] = lad.fallback_iterations;
+      pfell[rank] = lad.precision_fallbacks;
 
       if (opt.telemetry) {
         rank_reg.span_end(solve_span);

@@ -29,12 +29,14 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 /// precision) come from core::SolveOptionsBase — the same base
 /// core::SolveConfig embeds — so the serial and distributed entry points
 /// cannot drift apart. Distributed-specific notes on the inherited fields:
-///   * resilience — rungs are tried in order: `fallback_factory` (when set),
-///     then the built-in localized block diagonal, up to
-///     resilience.max_fallbacks rebuilds, CG restarting warm after each.
-///     resilience.chain (a PrecondKind list) is not consulted: this solver
-///     builds preconditioners through factories, not kinds. All fallback
-///     decisions derive from allreduced quantities (lockstep).
+///   * resilience — the serial solver's ladder (geofem::run_fallback_ladder)
+///     with factories for rungs: `fallback_factory` (when set), then the
+///     built-in localized block diagonal, up to resilience.max_fallbacks
+///     rebuilds, CG restarting warm after each. resilience.chain (a
+///     PrecondKind list) is not consulted: this solver builds
+///     preconditioners through factories, not kinds. All fallback decisions
+///     derive from allreduced quantities (lockstep); with telemetry on, the
+///     `dist.fallback.*` counters land in each rank's registry.
 ///   * cg — CG runs on solver::CGEngine, the engine serial pcg() uses, bound
 ///     to this rank's halo-overlapped matvec, coarse-aware preconditioner and
 ///     Comm's allreduces; a 1-domain run is bit-identical to pcg(). kClassic
@@ -49,8 +51,9 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     cache given to make_plan_factory (one plan per rank).
 ///   * precision — forwarded to the PrecondFactory; an fp32 attempt that
 ///     stagnates/breaks down is rebuilt at fp64 on every rank together
-///     (allreduced decision), restarting cold so the recovery's residual
-///     history is bit-identical to a direct fp64 run.
+///     (allreduced decision), restarting cold so the recovery replays a
+///     direct fp64 run's residuals on the remaining budget. A failed fp64
+///     build ends the solve kFactorizationFailed, as in the serial solver.
 struct DistOptions : core::SolveOptionsBase {
   /// Collect per-rank telemetry registries and gather them to rank 0
   /// (DistResult::obs_per_rank / obs_merged). Spans wrap set-up and the
@@ -76,8 +79,8 @@ struct DistResult {
   /// the first residual norm).
   SolveStatus status = SolveStatus::kMaxIterations;
   std::vector<SolveStatus> status_per_rank;
-  /// CG iterations burnt in failed attempts before the fallback rebuild
-  /// (zero for a direct solve).
+  /// CG iterations of every attempt before the last one that ran CG (zero
+  /// for a direct solve); `iterations` counts all attempts.
   int fallback_iterations = 0;
   /// fp32 attempts re-set-up at fp64 after stagnation/breakdown (0 or 1;
   /// identical on every rank — the decision is allreduced).

@@ -255,14 +255,7 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
     reg->counter("pcg.batched.columns")->add(static_cast<std::uint64_t>(k));
     reg->gauge("pcg.batched.width")->set(static_cast<double>(k));
     reg->gauge("pcg.batched.solve_seconds")->set(res.solve_seconds);
-    for (const auto& col : res.columns) {
-      std::string slug = to_string(col.status);
-      for (char& ch : slug)
-        if (ch == ' ') ch = '_';
-      reg->counter("pcg.status." + slug)->add(1);
-      reg->counter("pcg.iterations")->add(static_cast<std::uint64_t>(col.iterations));
-      reg->counter("pcg.solves")->add(1);
-    }
+    for (const auto& col : res.columns) count_solve(*reg, col);
     reg->absorb("pcg", res.flops);
     reg->absorb("pcg", res.loops);
   }

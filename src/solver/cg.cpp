@@ -333,6 +333,15 @@ void CGEngine::pipelined(const CGOptions& opt) {
   finish(opt);
 }
 
+void count_solve(obs::Registry& reg, const CGResult& res) {
+  std::string slug = to_string(res.status);
+  for (char& ch : slug)
+    if (ch == ' ') ch = '_';
+  reg.counter("pcg.status." + slug)->add(1);
+  reg.counter("pcg.iterations")->add(static_cast<std::uint64_t>(res.iterations));
+  reg.counter("pcg.solves")->add(1);
+}
+
 CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
              std::span<double> x, const CGOptions& opt) {
   CGResult res;
@@ -359,12 +368,7 @@ CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<con
 
   if (reg) {
     if (res.variant_fallbacks > 0) reg->counter("pcg.fallback.variant")->add(1);
-    std::string slug = to_string(res.status);
-    for (char& ch : slug)
-      if (ch == ' ') ch = '_';
-    reg->counter("pcg.status." + slug)->add(1);
-    reg->counter("pcg.iterations")->add(static_cast<std::uint64_t>(res.iterations));
-    reg->counter("pcg.solves")->add(1);
+    count_solve(*reg, res);
     reg->gauge("pcg.relative_residual")->set(res.relative_residual);
     reg->gauge("pcg.solve_seconds")->set(res.solve_seconds);
     reg->gauge("solver.variant")->set(static_cast<double>(opt.variant));

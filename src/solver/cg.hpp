@@ -165,6 +165,10 @@ class CGEngine {
   double bnorm_ = 0.0;
 };
 
+/// Counts one finished solve (a pcg() call or one batched column) into `reg`:
+/// pcg.status.<status, spaces as '_'>, pcg.iterations and pcg.solves.
+void count_solve(obs::Registry& reg, const CGResult& res);
+
 /// Preconditioned conjugate gradients. `x` holds the initial guess on entry
 /// and the solution on return.
 CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,

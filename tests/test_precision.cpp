@@ -321,3 +321,50 @@ TEST(PrecisionDist, StagnatedFp32FallsBackInLockstepAndReplaysFp64Tail) {
                                        static_cast<std::ptrdiff_t>(replay.size()));
   expect_bitwise_equal(direct, replay);
 }
+
+// ---------------------------------------------------------------------------
+// One ladder: a failed fp64 re-set-up is a typed status in both solvers
+// ---------------------------------------------------------------------------
+
+TEST(PrecisionFallback, FailedFp64ResetupIsTypedStatusSerialAndDistributed) {
+  // Every diagonal block is zero, so BIC(0) fails at set-up at either
+  // precision. With resilience off, kSingle still arms the fp64 re-set-up;
+  // when that fails too, both solvers report kFactorizationFailed after one
+  // precision fallback instead of throwing.
+  constexpr int kBlocks = 4;
+  gs::BlockCSRBuilder bld(kBlocks);
+  for (int i = 0; i < kBlocks; ++i) bld.add_pattern(i, i);
+  bld.finalize_pattern();
+  gf::System sys;
+  sys.a = bld.take();
+  sys.b.assign(sys.a.ndof(), 1.0);
+
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.precision = Precision::kSingle;
+  cfg.use_plan_cache = false;
+  gcore::SolveReport rep;
+  ASSERT_NO_THROW(rep = gcore::solve_system(sys, gc::build_supernodes(kBlocks, {}), cfg));
+  EXPECT_EQ(rep.status, SolveStatus::kFactorizationFailed);
+  EXPECT_EQ(rep.precision_fallbacks, 1);
+  EXPECT_EQ(rep.fallback_iterations, 0);
+  EXPECT_EQ(rep.cg.iterations, 0);
+  ASSERT_EQ(rep.attempts.size(), 1u);
+  EXPECT_EQ(rep.attempts[0], gcore::PrecondKind::kBIC0);
+
+  const auto systems = gpart::distribute(sys.a, sys.b, gpart::by_node_blocks(kBlocks, 2));
+  gd::DistOptions opt;
+  opt.precision = Precision::kSingle;
+  const auto res = gd::solve_distributed(
+      systems,
+      [](const gpart::LocalSystem&, const gs::BlockCSR& aii,
+         Precision precision) -> gp::PreconditionerPtr {
+        return std::make_unique<gp::BIC0>(aii, precision);
+      },
+      opt);
+  EXPECT_EQ(res.status, SolveStatus::kFactorizationFailed);
+  for (SolveStatus s : res.status_per_rank) EXPECT_EQ(s, SolveStatus::kFactorizationFailed);
+  EXPECT_EQ(res.precision_fallbacks, 1);
+  EXPECT_EQ(res.fallback_iterations, 0);
+  EXPECT_EQ(res.iterations, 0);
+}

@@ -19,6 +19,7 @@
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
 #include "nonlin/alm.hpp"
+#include "obs/registry.hpp"
 #include "part/partition.hpp"
 #include "precond/bic.hpp"
 #include "precond/diagonal.hpp"
@@ -356,6 +357,80 @@ TEST(DistFallback, HealthySolvePastWindowIsNotSpuriouslyStagnated) {
   for (SolveStatus s : res.status_per_rank) EXPECT_EQ(s, SolveStatus::kConverged);
   EXPECT_EQ(res.fallback_iterations, 0);
   EXPECT_GT(res.iterations, 80);  // the window was actually crossed
+}
+
+// ---------------------------------------------------------------------------
+// Chain exhaustion: every rung fails
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t counter_or_zero(const geofem::obs::Snapshot& snap, const std::string& name) {
+  const std::uint64_t* c = snap.counter(name);
+  return c ? *c : 0;
+}
+
+}  // namespace
+
+TEST(Fallback, ExhaustedChainReportsLastAttemptAndCounts) {
+  // Five iterations per attempt cannot converge at lambda = 1e12: BIC(0),
+  // SB-BIC(0) and the block diagonal each spend their fresh budget and fail.
+  // The report is the last attempt's; the two before it are burnt.
+  Problem pb(1e12);
+  const auto sn = gc::build_supernodes(pb.sys.a.n, pb.mesh.contact_groups);
+  geofem::obs::Registry reg;
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.cg.max_iterations = 5;
+  cfg.resilience.enabled = true;
+  cfg.use_plan_cache = false;
+  cfg.registry = &reg;
+  const auto rep = gcore::solve_system(pb.sys, sn, cfg);
+  EXPECT_EQ(rep.status, SolveStatus::kMaxIterations);
+  ASSERT_EQ(rep.attempts.size(), 3u);
+  EXPECT_EQ(rep.attempts[0], gcore::PrecondKind::kBIC0);
+  EXPECT_EQ(rep.attempts[1], gcore::PrecondKind::kSBBIC0);
+  EXPECT_EQ(rep.attempts[2], gcore::PrecondKind::kBlockDiagonal);
+  EXPECT_EQ(rep.cg.iterations, 5);
+  EXPECT_EQ(rep.fallback_iterations, 10);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(counter_or_zero(snap, "core.fallback.exhausted"), 1u);
+  EXPECT_EQ(counter_or_zero(snap, "core.fallback.attempts"), 3u);
+  EXPECT_EQ(counter_or_zero(snap, "core.fallback.recovered"), 0u);
+}
+
+TEST(DistFallback, ExhaustedChainReportsSharedBudgetAndCounts) {
+  // The same exhaustion on 2 ranks: BIC(0) spends the shared five-iteration
+  // budget, and the SB-BIC(0) and block-diagonal rungs restart warm with
+  // nothing left, so the burnt iterations are the primary's five.
+  Problem pb(1e12);
+  const auto p = gpart::rcb_contact_aware(pb.mesh, 2);
+  const auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
+  gd::DistOptions opt;
+  opt.cg.max_iterations = 5;
+  opt.resilience.enabled = true;
+  const auto& groups = pb.mesh.contact_groups;
+  opt.fallback_factory = [&groups](const gpart::LocalSystem& ls, const gs::BlockCSR& aii,
+                                   geofem::precond::Precision) {
+    return std::make_unique<gp::SBBIC0>(aii,
+                                        gc::build_supernodes(aii.n, ls.local_contact_groups(groups)));
+  };
+  const auto res = gd::solve_distributed(
+      systems,
+      [](const gpart::LocalSystem&, const gs::BlockCSR& aii, geofem::precond::Precision) {
+        return std::make_unique<gp::BIC0>(aii);
+      },
+      opt);
+  EXPECT_EQ(res.status, SolveStatus::kMaxIterations);
+  for (SolveStatus s : res.status_per_rank) EXPECT_EQ(s, SolveStatus::kMaxIterations);
+  EXPECT_EQ(res.iterations, 5);
+  EXPECT_EQ(res.fallback_iterations, 5);
+  ASSERT_EQ(res.obs_per_rank.size(), 2u);
+  for (const auto& snap : res.obs_per_rank) {
+    EXPECT_EQ(counter_or_zero(snap, "dist.fallback.exhausted"), 1u);
+    EXPECT_EQ(counter_or_zero(snap, "dist.fallback.attempts"), 3u);
+    EXPECT_EQ(counter_or_zero(snap, "dist.fallback.recovered"), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
