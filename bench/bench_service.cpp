@@ -14,13 +14,17 @@
 //
 // The binary exits nonzero if any request is lost (submitted != completed +
 // rejected), if a warm solve is not bit-identical to the cold solve of the
-// same request, or if a solo request through a coalescing-enabled service is
-// not bit-identical to the same request with coalescing off — CI runs it
+// same request, if a solo request through a coalescing-enabled service is
+// not bit-identical to the same request with coalescing off, or (with
+// max_batch > 1) if same-key Gropp requests or same-key fp32 requests fail
+// to share a dispatch of >= 2 with every response ok — CI runs it
 // (tiny, under sanitizers) as the service smoke test: GEOFEM_BENCH_TINY=1
 // shrinks the mesh and the workloads.
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -370,18 +374,69 @@ int main(int argc, char** argv) {
   }
   reg.gauge("svc.solo_batch_identical")->set(solo_identical ? 1.0 : 0.0);
 
+  // -------------------------------------------------------------------------
+  // Coalesced variants and precisions: max_batch same-key Gropp requests, and
+  // max_batch same-key fp32 requests, each on one worker whose leader holds
+  // the dispatch open until they have all arrived. Every request shape rides
+  // the one batched path, so each stream must form a dispatch of >= 2 and
+  // every response must be ok.
+  // -------------------------------------------------------------------------
+  bool shapes_coalesced = true;
+  if (max_batch > 1) {
+    for (const bool fp32 : {false, true}) {
+      svc::ServiceOptions opt = base;
+      opt.workers = 1;
+      opt.max_batch = max_batch;
+      opt.batch_window = 5.0;
+      svc::SolverService svc(opt);
+      const svc::ModelId model = svc.register_model(m, {{1.0, 0.3}}, bc);
+      std::vector<std::future<svc::SolveResponse>> futures;
+      for (int i = 0; i < max_batch; ++i) {
+        svc::SolveRequest req;
+        req.model = model;
+        req.priority = svc::Priority::kBatch;
+        req.lambda = 1e6;
+        req.load_scale = 1.0 + i;
+        if (fp32) {
+          req.precision = precond::Precision::kSingle;
+        } else {
+          req.variant = solver::CGVariant::kGropp;
+        }
+        futures.push_back(svc.submit(req));
+      }
+      for (auto& f : futures) {
+        try {
+          shapes_coalesced = ok(f.get().status) && shapes_coalesced;
+        } catch (const std::exception& e) {
+          std::cerr << "coalesced " << (fp32 ? "fp32" : "gropp") << " request threw: " << e.what()
+                    << "\n";
+          shapes_coalesced = false;
+        }
+      }
+      const obs::Snapshot snap = svc.registry().snapshot();
+      const obs::HistogramData* bs = snap.histogram("svc.batch_size");
+      const double widest = bs ? bs->max : 0.0;
+      shapes_coalesced = shapes_coalesced && widest >= 2.0;
+      const std::string shape = fp32 ? "fp32" : "gropp";
+      reg.gauge("svc.coalesced_" + shape + ".batch_size.max")->set(widest);
+      std::cout << "coalesced " << shape << " requests: widest dispatch "
+                << util::Table::fmt(widest, 0) << "/" << max_batch << "\n";
+    }
+  }
+
   bench::emit_json(reg, "service", argc, argv, {&table});
   const bool batch_formed = !max_batch_flag || max_batch_seen >= 2.0;
-  if (!all_ok || !identical || !solo_identical || !batch_formed) {
+  if (!all_ok || !identical || !solo_identical || !batch_formed || !shapes_coalesced) {
     std::cerr << "\nservice smoke FAILED ("
-              << (!identical       ? "warm solve != cold solve"
-                  : !solo_identical ? "solo solve != solve with coalescing enabled"
-                  : !batch_formed   ? "no coalesced batch of >= 2 formed"
-                                    : "requests lost or failed")
+              << (!identical         ? "warm solve != cold solve"
+                  : !solo_identical   ? "solo solve != solve with coalescing enabled"
+                  : !batch_formed     ? "no coalesced batch of >= 2 formed"
+                  : !shapes_coalesced ? "Gropp or fp32 requests did not coalesce and converge"
+                                      : "requests lost or failed")
               << ")\n";
     return 1;
   }
   std::cout << "\nservice smoke passed (no request lost, warm solve bit-identical to cold, "
-               "solo solve bit-identical under coalescing)\n";
+               "solo solve bit-identical under coalescing, Gropp and fp32 requests coalesced)\n";
   return 0;
 }

@@ -69,25 +69,27 @@ class Session {
 };
 
 /// plan[(perm[i]·3 + d)·k + c] = mesh[i·3 + d]: a mesh-ordered vector into
-/// column c of a k-column interleaved vector in the PDJDS plan's ordering.
-void to_plan_order(const std::vector<int>& perm, std::span<const double> mesh,
-                   std::span<double> plan, std::size_t k = 1, std::size_t c = 0) {
-  for (std::size_t i = 0; i < perm.size(); ++i)
-    for (std::size_t d = 0; d < 3; ++d)
-      plan[(static_cast<std::size_t>(perm[i]) * 3 + d) * k + c] = mesh[i * 3 + d];
+/// column c of a k-column interleaved vector in the solve's ordering (the
+/// PDJDS plan's `perm`; the mesh ordering itself when `perm` is null).
+void to_plan_order(const std::vector<int>* perm, std::span<const double> mesh,
+                   std::span<double> plan, std::size_t k, std::size_t c) {
+  for (std::size_t i = 0; i < mesh.size() / 3; ++i) {
+    const std::size_t p = perm ? static_cast<std::size_t>((*perm)[i]) : i;
+    for (std::size_t d = 0; d < 3; ++d) plan[(p * 3 + d) * k + c] = mesh[i * 3 + d];
+  }
 }
 
 /// The inverse of to_plan_order: column c of `plan` back into mesh ordering.
-void to_mesh_order(const std::vector<int>& perm, std::span<const double> plan,
-                   std::span<double> mesh, std::size_t k = 1, std::size_t c = 0) {
-  for (std::size_t i = 0; i < perm.size(); ++i)
-    for (std::size_t d = 0; d < 3; ++d)
-      mesh[i * 3 + d] = plan[(static_cast<std::size_t>(perm[i]) * 3 + d) * k + c];
+void to_mesh_order(const std::vector<int>* perm, std::span<const double> plan,
+                   std::span<double> mesh, std::size_t k, std::size_t c) {
+  for (std::size_t i = 0; i < mesh.size() / 3; ++i) {
+    const std::size_t p = perm ? static_cast<std::size_t>((*perm)[i]) : i;
+    for (std::size_t d = 0; d < 3; ++d) mesh[i * 3 + d] = plan[(p * 3 + d) * k + c];
+  }
 }
 
-/// Outcome of the structure + numeric set-up phase shared by the single-RHS
-/// attempts and the batched entry: the (possibly cached) plan and the
-/// ready preconditioner.
+/// Outcome of the structure + numeric set-up phase of one attempt: the
+/// (possibly cached) plan and the ready preconditioner.
 struct Setup {
   std::shared_ptr<const plan::SolvePlan> plan;
   precond::PreconditionerPtr prec;
@@ -97,11 +99,11 @@ struct Setup {
 /// optional coarse level — everything before the Krylov loop, with all the
 /// associated SolveReport bookkeeping (bytes, plan reuse, timings, PDJDS
 /// statistics) filled into `rep`. Throws Error(kFactorizationFailed) if the
-/// factorization hits an unusable pivot. Factored out of attempt_solve so
-/// solve_system_batched shares it verbatim (one set-up, k right-hand sides).
-Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const SolveConfig& cfg,
-                  PrecondKind kind, precond::Precision precision, SolveReport& rep) {
-  rep.matrix_bytes = sys.a.memory_bytes();
+/// factorization hits an unusable pivot.
+Setup setup_solve(const sparse::BlockCSR& a, const contact::Supernodes& sn,
+                  const SolveConfig& cfg, PrecondKind kind, precond::Precision precision,
+                  SolveReport& rep) {
+  rep.matrix_bytes = a.memory_bytes();
   obs::Registry* reg = obs::current();
   // setup span closed (span_end) where setup_seconds is read
   const std::size_t setup_idx = reg ? reg->span_begin("core.setup") : 0;
@@ -122,7 +124,7 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
   if (cfg.coarse.enabled) {
     GEOFEM_CHECK(cfg.ordering == OrderingKind::kNatural,
                  "coarse correction requires the natural ordering");
-    agg = coarse::single_aggregate(sys.a.n);
+    agg = coarse::single_aggregate(a.n);
     if (cfg.coarse.aggregates == coarse::Aggregates::kPerContactGroup)
       agg = coarse::refine_by_groups(std::move(agg), sn.members);
   }
@@ -133,15 +135,15 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
     // get() reports the hit directly: under concurrent sessions a stats()
     // delta would attribute other callers' hits to this solve.
     bool hit = false;
-    p = cache.get(sys.a, sn, pcfg, &hit, aggp);
+    p = cache.get(a, sn, pcfg, &hit, aggp);
     rep.plan_cache = cache.stats();
     rep.plan_reused = hit;
   } else {
-    p = std::make_shared<plan::SolvePlan>(sys.a, sn, pcfg, aggp);
+    p = std::make_shared<plan::SolvePlan>(a, sn, pcfg, aggp);
   }
   rep.symbolic_seconds = p->symbolic_seconds();
   util::Timer numeric_timer;
-  precond::PreconditionerPtr prec = p->numeric(sys.a);
+  precond::PreconditionerPtr prec = p->numeric(a);
   rep.numeric_seconds = numeric_timer.seconds();
   if (cfg.coarse.enabled) {
     // Second level: assemble (value-memoized in the plan) and factor A_c,
@@ -150,9 +152,9 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
     util::Timer coarse_timer;
     rep.coarse_status = coarse::SetupStatus::kActive;
     try {
-      auto op = p->coarse_numeric(sys.a);
+      auto op = p->coarse_numeric(a);
       rep.coarse_dim = op->dim();
-      prec = std::make_unique<precond::TwoLevel>(std::move(prec), std::move(op), sys.a,
+      prec = std::make_unique<precond::TwoLevel>(std::move(prec), std::move(op), a,
                                                  cfg.coarse.mode);
     } catch (const Error& e) {
       if (e.code() != StatusCode::kFactorizationFailed) throw;
@@ -184,59 +186,30 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
   return Setup{std::move(p), std::move(prec)};
 }
 
-/// One set-up + CG attempt with preconditioner `kind` on a fresh iteration
-/// budget: the serial fallback ladder's attempt. `x0` (mesh ordering)
-/// warm-starts CG; null starts from zero. Throws
-/// geofem::Error(kFactorizationFailed) if the factorization hits an unusable
-/// pivot. Fills everything in the report except status / attempts /
-/// fallback_* / precision_fallbacks (owned by the ladder).
-SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
-                          const SolveConfig& cfg, PrecondKind kind,
-                          const solver::CGOptions& cgopt, const std::vector<double>* x0,
-                          precond::Precision precision) {
-  SolveReport rep;
-  Setup s = setup_solve(sys, sn, cfg, kind, precision, rep);
-  precond::PreconditionerPtr& prec = s.prec;
-
-  if (cfg.ordering == OrderingKind::kNatural) {
-    if (x0) {
-      rep.solution = *x0;
-    } else {
-      rep.solution.assign(sys.a.ndof(), 0.0);
-    }
-    rep.cg = solver::pcg(sys.a, *prec, sys.b, rep.solution, cgopt);
-    return rep;
-  }
-
-  // PDJDS/MC path: the plan owns the ordering; solve in the new ordering and
-  // permute back.
-  const reorder::DJDSMatrix& dj = *s.plan->djds();
-  std::vector<double> pb(sys.a.ndof()), px(sys.a.ndof(), 0.0);
-  to_plan_order(dj.perm(), sys.b, pb);
-  if (x0) to_plan_order(dj.perm(), *x0, px);
-  rep.cg = solver::pcg(
-      [&dj](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
-            util::LoopStats* ls) { dj.spmv(in, out, fc, ls); },
-      *prec, pb, px, cgopt);
-  rep.solution.assign(sys.a.ndof(), 0.0);
-  to_mesh_order(dj.perm(), px, rep.solution);
-  return rep;
-}
-
-}  // namespace
-
-SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
-                         const SolveConfig& cfg) {
+/// The one body of solve_system and solve_system_batched: the fallback ladder
+/// (geofem::run_fallback_ladder) over the k right-hand sides `rhs` (mesh
+/// ordering) with per-column `tolerances` (empty: cfg.cg.tolerance).
+std::vector<SolveReport> solve_columns(const sparse::BlockCSR& a, const contact::Supernodes& sn,
+                                       const SolveConfig& cfg,
+                                       const std::vector<std::span<const double>>& rhs,
+                                       const std::vector<double>& tolerances) {
   const Session session(cfg);
+  for (const auto& col : rhs)
+    GEOFEM_CHECK(col.size() == a.ndof(), "solve_system: rhs size mismatch");
 
-  // One attempt of the fallback ladder (geofem::run_fallback_ladder): set-up
-  // and CG on a fresh iteration budget. Rung i > 0 is chain[i - 1]. A warm
-  // start continues from the last attempt that ran since the last cold one.
+  // One attempt of the ladder: one set-up and one k-column CG on a fresh
+  // iteration budget over the listed columns. Rung i > 0 is chain[i - 1]. A
+  // warm start continues a column from the last attempt that ran it since
+  // its last cold one. Throws Error(kFactorizationFailed) if the
+  // factorization hits an unusable pivot. A column's report is its last
+  // attempt: the shared set-up bookkeeping replicated, the shared CG
+  // flops/loops on the attempt's first column, cg.solve_seconds the
+  // attempt's CG wall time.
   const std::vector<PrecondKind> chain = fallback_chain(cfg.resilience, cfg.precond);
-  SolveReport out;   // the last attempt that ran CG
-  bool warm = false;  // out.solution is the iterate a warm start continues
+  std::vector<SolveReport> out(rhs.size());  // per column: the last attempt that ran CG
+  std::vector<char> warm(rhs.size(), 0);      // out[c].solution is the iterate to continue
   const auto attempt = [&](int rung, precond::Precision precision, solver::CGStart start,
-                           const solver::CGOptions& cgopt) {
+                           const solver::CGOptions& cgopt, std::span<const int> cols) {
     const PrecondKind kind = rung == 0 ? cfg.precond : chain[static_cast<std::size_t>(rung - 1)];
     // The PDJDS orderings only vectorize the no-fill kinds; a fallback rung of
     // any other kind (notably the last-resort block diagonal, which needs no
@@ -245,108 +218,86 @@ SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
     SolveConfig acfg = cfg;
     if (rung > 0 && !plan::ordering_supports(acfg.ordering, kind))
       acfg.ordering = OrderingKind::kNatural;
-    if (start == solver::CGStart::kCold) warm = false;
-    out = attempt_solve(sys, sn, acfg, kind, cgopt, warm ? &out.solution : nullptr, precision);
-    warm = true;
-    return AttemptOutcome{out.cg.status, out.cg.iterations, out.setup_seconds};
-  };
-  const LadderResult lad =
-      run_fallback_ladder(cfg, static_cast<int>(chain.size()), "core", attempt);
+    if (start == solver::CGStart::kCold)
+      for (const int c : cols) warm[static_cast<std::size_t>(c)] = 0;
+    SolveReport base;
+    Setup s = setup_solve(a, sn, acfg, kind, precision, base);
 
-  // `out` is still an empty report when no attempt ran (every build failed).
-  out.status = lad.status;
-  out.attempts = {cfg.precond};
-  out.attempts.insert(out.attempts.end(), chain.begin(), chain.begin() + lad.rungs);
-  out.fallback_iterations = lad.fallback_iterations;
-  out.fallback_setup_seconds = lad.fallback_setup_seconds;
-  out.precision_fallbacks = lad.precision_fallbacks;
+    // Solve in the plan's ordering (PDJDS/MC) or the mesh's own (natural), on
+    // the listed columns interleaved, and permute back.
+    const reorder::DJDSMatrix* dj =
+        acfg.ordering == OrderingKind::kNatural ? nullptr : s.plan->djds();
+    const std::vector<int>* perm = dj ? &dj->perm() : nullptr;
+    const std::size_t nd = a.ndof(), k = cols.size();
+    std::vector<double> bi(nd * k), xi(nd * k, 0.0);
+    solver::BatchedCGOptions bopt{cgopt, {}};
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto c = static_cast<std::size_t>(cols[j]);
+      to_plan_order(perm, rhs[c], bi, k, j);
+      if (warm[c]) to_plan_order(perm, out[c].solution, xi, k, j);
+      if (!tolerances.empty()) bopt.tolerances.push_back(tolerances[c]);
+    }
+    const int kc = static_cast<int>(k);
+    solver::BatchedCGResult bres =
+        dj ? solver::pcg_batched(
+                 [dj](std::span<const double> in, std::span<double> o, util::FlopCounter* fc,
+                      util::LoopStats* ls) { dj->spmv(in, o, fc, ls); },
+                 [dj](std::span<const double> in, std::span<double> o, int kb,
+                      util::FlopCounter* fc, util::LoopStats* ls) { dj->spmm(in, o, kb, fc, ls); },
+                 *s.prec, bi, xi, kc, bopt)
+           : solver::pcg_batched(a, *s.prec, bi, xi, kc, bopt);
+
+    std::vector<AttemptOutcome> outcomes;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto c = static_cast<std::size_t>(cols[j]);
+      SolveReport& rep = out[c] = base;
+      rep.cg = std::move(bres.columns[j]);
+      rep.cg.solve_seconds = bres.solve_seconds;
+      if (j == 0) {
+        rep.cg.flops = bres.flops;
+        rep.cg.loops = bres.loops;
+      }
+      rep.solution.assign(nd, 0.0);
+      to_mesh_order(perm, xi, rep.solution, k, j);
+      warm[c] = 1;
+      outcomes.push_back({rep.cg.status, rep.cg.iterations, rep.setup_seconds});
+    }
+    return outcomes;
+  };
+  const std::vector<LadderResult> lad = run_fallback_ladder(
+      cfg, static_cast<int>(chain.size()), static_cast<int>(rhs.size()), "core", attempt);
+
+  // A column's report is still empty when no attempt ran it (every build
+  // failed).
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    SolveReport& rep = out[c];
+    rep.status = lad[c].status;
+    rep.attempts = {cfg.precond};
+    rep.attempts.insert(rep.attempts.end(), chain.begin(), chain.begin() + lad[c].rungs);
+    rep.fallback_iterations = lad[c].fallback_iterations;
+    rep.fallback_setup_seconds = lad[c].fallback_setup_seconds;
+    rep.precision_fallbacks = lad[c].precision_fallbacks;
+  }
   return out;
+}
+
+}  // namespace
+
+SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
+                         const SolveConfig& cfg) {
+  return std::move(solve_columns(sys.a, sn, cfg, {sys.b}, {}).front());
 }
 
 std::vector<SolveReport> solve_system_batched(const fem::System& sys,
                                               const contact::Supernodes& sn,
                                               const SolveConfig& cfg,
                                               const std::vector<std::vector<double>>& rhs,
-                                              const std::vector<double>& tolerances,
-                                              double compact_threshold) {
-  const int k = static_cast<int>(rhs.size());
-  GEOFEM_CHECK(k >= 1 && k <= simd::kMaxMultiRhs, "solve_system_batched: bad column count");
+                                              const std::vector<double>& tolerances) {
+  GEOFEM_CHECK(!rhs.empty() && rhs.size() <= static_cast<std::size_t>(simd::kMaxMultiRhs),
+               "solve_system_batched: bad column count");
   GEOFEM_CHECK(tolerances.empty() || tolerances.size() == rhs.size(),
                "solve_system_batched: tolerances must be empty or one per column");
-  const std::size_t nd = sys.a.ndof();
-  for (const auto& col : rhs)
-    GEOFEM_CHECK(col.size() == nd, "solve_system_batched: rhs column size mismatch");
-
-  // Batch-of-1 is the single-RHS pipeline, verbatim: same resilience chain,
-  // same precision rung, bit-identical report.
-  if (k == 1) {
-    fem::System one;
-    one.a = sys.a;
-    one.b = rhs[0];
-    SolveConfig c1 = cfg;
-    if (!tolerances.empty()) c1.cg.tolerance = tolerances[0];
-    std::vector<SolveReport> out;
-    out.push_back(solve_system(one, sn, c1));
-    return out;
-  }
-
-  GEOFEM_CHECK(cfg.cg.variant == solver::CGVariant::kClassic,
-               "solve_system_batched: k > 1 supports CGVariant::kClassic only");
-  GEOFEM_CHECK(!cfg.resilience.enabled,
-               "solve_system_batched: k > 1 is a direct solve (no resilience chain)");
-
-  const Session session(cfg);
-
-  SolveReport base;
-  Setup s = setup_solve(sys, sn, cfg, cfg.precond, cfg.precision, base);
-  base.attempts = {cfg.precond};
-
-  solver::BatchedCGOptions bopt;
-  bopt.cg = cfg.cg;
-  bopt.tolerances = tolerances;
-  bopt.compact_threshold = compact_threshold;
-
-  const auto kk = static_cast<std::size_t>(k);
-  std::vector<double> bi(nd * kk), xi(nd * kk, 0.0);
-  solver::BatchedCGResult bres;
-  const bool natural = cfg.ordering == OrderingKind::kNatural;
-  if (natural) {
-    for (std::size_t c = 0; c < kk; ++c)
-      for (std::size_t d = 0; d < nd; ++d) bi[d * kk + c] = rhs[c][d];
-    bres = solver::pcg_batched(sys.a, *s.prec, bi, xi, k, bopt);
-  } else {
-    // PDJDS/MC path: permute every column into the plan's ordering, solve,
-    // permute back below.
-    const reorder::DJDSMatrix& dj = *s.plan->djds();
-    for (std::size_t c = 0; c < kk; ++c) to_plan_order(dj.perm(), rhs[c], bi, kk, c);
-    bres = solver::pcg_batched(
-        [&dj](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
-              util::LoopStats* ls) { dj.spmv(in, out, fc, ls); },
-        [&dj](std::span<const double> in, std::span<double> out, int kb, util::FlopCounter* fc,
-              util::LoopStats* ls) { dj.spmm(in, out, kb, fc, ls); },
-        *s.prec, bi, xi, k, bopt);
-  }
-
-  std::vector<SolveReport> out;
-  out.reserve(kk);
-  for (std::size_t c = 0; c < kk; ++c) {
-    SolveReport rep = base;
-    rep.cg = bres.columns[c];
-    rep.cg.solve_seconds = bres.solve_seconds;
-    if (c == 0) {
-      rep.cg.flops = bres.flops;
-      rep.cg.loops = bres.loops;
-    }
-    rep.status = rep.cg.status;
-    rep.solution.assign(nd, 0.0);
-    if (natural) {
-      for (std::size_t d = 0; d < nd; ++d) rep.solution[d] = xi[d * kk + c];
-    } else {
-      to_mesh_order(s.plan->djds()->perm(), xi, rep.solution, kk, c);
-    }
-    out.push_back(std::move(rep));
-  }
-  return out;
+  return solve_columns(sys.a, sn, cfg, {rhs.begin(), rhs.end()}, tolerances);
 }
 
 }  // namespace geofem::core

@@ -119,32 +119,26 @@ SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
                          const SolveConfig& cfg);
 
 /// Batched multi-RHS entry (DESIGN.md §5k): solve A x_c = b_c for the k
-/// right-hand sides in `rhs` (each ndof long; sys.b is ignored) sharing ONE
-/// set-up (plan lookup + numeric factorization) and one batched CG in which
-/// every iteration does a single SpMM and a single multi-column
-/// preconditioner application for all live columns. Returns one SolveReport
-/// per column, in order: per-column status / iterations / residuals /
-/// solution; the shared set-up bookkeeping (plan reuse, timings, bytes) is
-/// replicated into every report, the shared CG flops/loops are carried by
-/// column 0 only (summing across columns would double-count shared work),
-/// and every column's cg.solve_seconds is the batch wall time.
+/// right-hand sides in `rhs` (each ndof long; sys.b is ignored). It runs the
+/// body of solve_system with k columns: every attempt of the fallback ladder
+/// is ONE set-up (plan lookup + numeric factorization) and one k-column CG
+/// (solver::pcg_batched) over the columns that are not yet ok, so variants,
+/// the fp32 -> fp64 re-set-up and the resilience rungs apply per column.
+/// Returns one SolveReport per column, in order: per-column status /
+/// attempts / iterations / residuals / solution. The shared set-up
+/// bookkeeping (plan reuse, timings, bytes) of a column's last attempt is
+/// replicated into its report; that attempt's shared CG flops/loops are
+/// carried by the first column it solved (summing across columns would
+/// double-count shared work), and its cg.solve_seconds is the attempt's CG
+/// wall time.
 ///
 /// `tolerances` is empty (every column uses cfg.cg.tolerance) or one entry
-/// per column. `compact_threshold` forwards to
-/// solver::BatchedCGOptions::compact_threshold.
-///
-/// Contract: rhs.size() == 1 delegates wholesale to solve_system (with the
-/// tolerance override applied) — bit-identical report. k > 1 is the direct
-/// solve path only: CGVariant::kClassic is required and
-/// cfg.resilience.enabled must be false (checked) — a column that breaks
-/// down or stalls just reports its own status, it never triggers a chain
-/// rebuild. cfg.precision == kSingle is honored (fp32-stored factors) but
-/// without the single-RHS path's automatic fp64 re-set-up.
+/// per column. rhs.size() == 1 is bit-identical to solve_system on that
+/// right-hand side.
 std::vector<SolveReport> solve_system_batched(const fem::System& sys,
                                               const contact::Supernodes& sn,
                                               const SolveConfig& cfg,
                                               const std::vector<std::vector<double>>& rhs,
-                                              const std::vector<double>& tolerances = {},
-                                              double compact_threshold = 0.5);
+                                              const std::vector<double>& tolerances = {});
 
 }  // namespace geofem::core

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -63,8 +64,9 @@ struct ResilienceOptions {
 /// into kFactorizationFailed, a disarmed one lets the geofem::Error escape.
 [[nodiscard]] bool fallback_armed(const core::SolveOptionsBase& opt);
 
-/// What one attempt of the fallback ladder did: its status, the CG
-/// iterations it spent and its set-up seconds. The default is a failed build.
+/// What one attempt of the fallback ladder did for one column: its status,
+/// the CG iterations it spent and its set-up seconds. The default is a
+/// failed build.
 struct AttemptOutcome {
   SolveStatus status = SolveStatus::kFactorizationFailed;
   int iterations = 0;
@@ -73,13 +75,15 @@ struct AttemptOutcome {
 
 /// One attempt: build the preconditioner of `rung` (0 = the primary; i >= 1
 /// = the caller's i-th fallback rung) at `precision`, start CG from `start`
-/// and run it with `cg`. A failed build throws Error(kFactorizationFailed)
-/// or returns that status; a distributed caller returns it once every rank
-/// agrees the build failed.
-using AttemptFn = std::function<AttemptOutcome(int rung, precond::Precision precision,
-                                               solver::CGStart start,
-                                               const solver::CGOptions& cg)>;
+/// and run it with `cg` on `columns` (ascending indices of the caller's
+/// right-hand sides). Returns one outcome per listed column. A failed build
+/// throws Error(kFactorizationFailed) or returns that status; a distributed
+/// caller returns it once every rank agrees the build failed.
+using AttemptFn = std::function<std::vector<AttemptOutcome>(
+    int rung, precond::Precision precision, solver::CGStart start, const solver::CGOptions& cg,
+    std::span<const int> columns)>;
 
+/// One column's way down the ladder.
 struct LadderResult {
   /// The last attempt's status; kFellBack when it is ok after a detour.
   SolveStatus status = SolveStatus::kFactorizationFailed;
@@ -91,21 +95,25 @@ struct LadderResult {
   int precision_fallbacks = 0;  ///< fp64 re-set-ups of an fp32 primary (0 or 1)
 };
 
-/// The fallback ladder of serial and distributed solves, in the paper's
-/// robustness order (Table 2):
-///   1. the primary at opt.precision, cold start;
-///   2. when that is fp32 and fails: one fp64 re-set-up of the primary, cold
-///      start, with the user's CG options (counted as a precision fallback);
+/// The fallback ladder of serial and distributed solves over `columns`
+/// right-hand sides, in the paper's robustness order (Table 2):
+///   1. the primary at opt.precision, cold start, on every column;
+///   2. when that is fp32: one fp64 re-set-up of the primary, cold start,
+///      with the user's CG options, on the columns that failed (counted as a
+///      precision fallback);
 ///   3. with resilience on: rungs 1..min(rungs, max_fallbacks) at fp64, each
-///      restarting warm, until one is ok.
+///      restarting warm on the columns not yet ok, until every column is ok.
+/// Each step is one attempt call: one set-up shared by the columns it lists.
 /// Resilience defaults the CG stagnation window from
 /// opt.resilience.stagnation_window when the caller set none; an fp32 primary
 /// gets that window even with resilience off. Factorization failures are
 /// caught when fallback_armed(opt) and propagate otherwise. Events are
-/// counted as `<prefix>.fallback.{precision,factorization_failed,attempts,
-/// recovered,exhausted}` in obs::current().
-[[nodiscard]] LadderResult run_fallback_ladder(const core::SolveOptionsBase& opt, int rungs,
-                                               std::string_view prefix,
-                                               const AttemptFn& attempt);
+/// counted per column as `<prefix>.fallback.{precision,factorization_failed,
+/// attempts,recovered,exhausted}` in obs::current(). Returns one result per
+/// column.
+[[nodiscard]] std::vector<LadderResult> run_fallback_ladder(const core::SolveOptionsBase& opt,
+                                                            int rungs, int columns,
+                                                            std::string_view prefix,
+                                                            const AttemptFn& attempt);
 
 }  // namespace geofem

@@ -396,7 +396,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
                                .apply_a = matvec,
                                .apply_m = apply_precond,
                                .sum = allreduce},
-                              ls.b, x, cg);
+                              ls.b, x, {&cg, 1});
 
       // One attempt of the fallback ladder (run_fallback_ladder). Rung 0 is
       // `factory`; the rungs after it are the caller's fallback factory (when
@@ -413,20 +413,22 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
       rungs.push_back(&block_diag);
       bool first = true;
       const auto attempt = [&](int rung, precond::Precision precision, solver::CGStart start,
-                               const solver::CGOptions& cgopt) {
+                               const solver::CGOptions& cgopt,
+                               std::span<const int>) -> std::vector<AttemptOutcome> {
         if (!std::exchange(first, false)) {
           built = build(*rungs[static_cast<std::size_t>(rung)], precision);
-          if (!built) return AttemptOutcome{};
+          if (!built) return {AttemptOutcome{}};
         }
         const int before = cg.iterations;
         engine.start(start, cgopt);
-        if (!built) return AttemptOutcome{};
+        if (!built) return {AttemptOutcome{}};
         current = prec.get();
         engine.run(cgopt);
-        return AttemptOutcome{cg.status, cg.iterations - before};
+        return {AttemptOutcome{cg.status, cg.iterations - before}};
       };
       const LadderResult lad =
-          run_fallback_ladder(opt, static_cast<int>(rungs.size()) - 1, "dist", attempt);
+          run_fallback_ladder(opt, static_cast<int>(rungs.size()) - 1, 1, "dist", attempt)
+              .front();
       statuses[rank] = lad.status;
       burnt_iters[rank] = lad.fallback_iterations;
       pfell[rank] = lad.precision_fallbacks;

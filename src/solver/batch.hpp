@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -8,38 +7,22 @@
 
 namespace geofem::solver {
 
-/// Y = A X multi-vector hook for the batched solve path (DESIGN.md §5k):
-/// X and Y hold k interleaved RHS columns (value(dof i, column c) = X[i*k+c]).
-/// Implementations forward to BlockCSR::spmm / DJDSMatrix::spmm.
-using MatVecMulti = std::function<void(std::span<const double>, std::span<double>, int,
-                                       util::FlopCounter*, util::LoopStats*)>;
-
 struct BatchedCGOptions {
-  /// Shared solver controls. `cg.tolerance` is the default for every column
-  /// (see `tolerances`); `cg.max_iterations` bounds the shared outer loop.
-  /// Restrictions for k > 1: only CGVariant::kClassic is supported (checked)
-  /// and `stagnation_window` is ignored — frozen-column masking has no analog
-  /// of the single-RHS stagnation ring. Batch-of-1 delegates to solver::pcg
-  /// and honors every option bit-identically.
+  /// Shared solver controls: variant, stagnation window, residual recording
+  /// and the iteration budget of every column. `cg.tolerance` is the default
+  /// for every column (see `tolerances`).
   CGOptions cg;
   /// Optional per-column tolerance overrides; empty (all columns use
   /// cg.tolerance) or exactly k entries.
   std::vector<double> tolerances;
-  /// Compact the working batch (repack live columns, shrink the interleaved
-  /// stride) once active columns <= compact_threshold * current width. <= 0
-  /// disables compaction. Compaction never changes which columns converge,
-  /// but it MAY perturb a live column's trajectory in the last bits (a column
-  /// can move between an AVX2 lane group and the scalar tail); results stay
-  /// deterministic because freeze points — and therefore compaction points —
-  /// are themselves deterministic.
-  double compact_threshold = 0.5;
 };
 
 struct BatchedCGResult {
   /// Per-column outcome in the caller's column order. `status`, `iterations`,
-  /// `relative_residual` and (if requested) `residual_history` are per
-  /// column; `flops` / `loops` / `solve_seconds` of each column are left
-  /// empty — shared work is reported once in the fields below.
+  /// `relative_residual`, `variant_fallbacks` and (if requested)
+  /// `residual_history` are per column; `flops` / `loops` / `solve_seconds`
+  /// of each column are left empty — shared work is reported once in the
+  /// fields below.
   std::vector<CGResult> columns;
   int iterations = 0;        ///< shared outer iterations executed
   int compactions = 0;       ///< number of batch repacks
@@ -54,20 +37,21 @@ struct BatchedCGResult {
   }
 };
 
-/// Batched preconditioned CG: solves A x_c = b_c for k right-hand sides with
+/// Batched preconditioned CG (DESIGN.md §5k): solves A x_c = b_c for k
+/// right-hand sides on the one CG engine (solver::CGEngine) with k columns —
 /// ONE SpMM and ONE multi-column preconditioner application per iteration,
-/// per-column alpha/beta/rho recurrences, and per-column convergence masking
-/// (a converged or broken-down column freezes: its solution is emitted at
-/// freeze time and the masked updates never touch it again). `b` and `x`
-/// hold k interleaved columns (dof-major, value(i, c) = b[i*k+c]); `x` holds
-/// initial guesses on entry and solutions on return.
+/// per-column recurrences, per-column freezing at convergence, breakdown,
+/// stagnation or the budget (the column's solution is emitted at freeze
+/// time), and compaction of the live columns once at most half are live.
+/// Every CGVariant and its kClassic retry run per column. `b` and `x` hold k
+/// interleaved columns (dof-major, value(i, c) = b[i*k+c]); `x` holds initial
+/// guesses on entry and solutions on return.
 ///
 /// Contract: k == 1 delegates wholesale to solver::pcg through `amul`
 /// (bit-identical solution AND residual history to a plain single-RHS
 /// solve); k > 1 matches the per-column single solves to solver tolerance
 /// but not bitwise (interleaved kernels fix a different lane shape). Once
-/// compaction leaves one live column, iterations run `amul` and
-/// Preconditioner::apply instead of their k = 1 multi-RHS forms.
+/// compaction leaves one live column, iterations run the single-RHS kernels.
 BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
                             const precond::Preconditioner& m, std::span<const double> b,
                             std::span<double> x, int k, const BatchedCGOptions& opt = {});

@@ -1,6 +1,8 @@
 #include "svc/service.hpp"
 
 #include <chrono>
+#include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "contact/penalty.hpp"
@@ -116,23 +118,15 @@ std::future<SolveResponse> SolverService::submit(SolveRequest req) {
   return fut;
 }
 
-bool SolverService::batch_eligible(const SolveRequest& req) const {
-  if (opt_.max_batch <= 1) return false;
-  // The batched core path is a direct fp64 classic-CG solve; anything that
-  // needs the resilience / precision / variant machinery solves solo.
-  const precond::Precision prec = req.precision ? *req.precision : opt_.solve.precision;
-  const solver::CGVariant var = req.variant ? *req.variant : opt_.solve.cg.variant;
-  return prec == precond::Precision::kDouble && var == solver::CGVariant::kClassic &&
-         !opt_.solve.resilience.enabled;
-}
-
 namespace {
 
 /// Coalescing key: requests solving the SAME matrix (model, penalty, contact
-/// state) may share one batched solve; load_scale and tolerance are
-/// per-column deltas.
-bool same_batch_key(const SolveRequest& a, const SolveRequest& b) {
-  return a.model == b.model && a.lambda == b.lambda && a.active_groups == b.active_groups;
+/// state) with the same factor precision and CG variant may share one
+/// batched solve; load_scale and tolerance are per-column deltas.
+bool same_batch_key(const SolveRequest& a, const SolveRequest& b, const core::SolveConfig& base) {
+  return a.model == b.model && a.lambda == b.lambda && a.active_groups == b.active_groups &&
+         a.precision.value_or(base.precision) == b.precision.value_or(base.precision) &&
+         a.variant.value_or(base.cg.variant) == b.variant.value_or(base.cg.variant);
 }
 
 }  // namespace
@@ -163,14 +157,14 @@ bool SolverService::next_batch(std::vector<Ticket>& out) {
   ++in_flight_;  // leader counted immediately: drain() must not fire mid-batch
 
   bool window_timeout = false;
-  if (batch_eligible(out.front().req)) {
+  if (opt_.max_batch > 1) {
     const auto max_batch = static_cast<std::size_t>(opt_.max_batch);
-    // Pull every queued same-key eligible request (both classes, admission
-    // order within each) up to max_batch.
+    // Pull every queued same-key request (both classes, admission order
+    // within each) up to max_batch.
     auto harvest = [&] {
       for (auto& q : queues_) {
         for (auto it = q.begin(); it != q.end() && out.size() < max_batch;) {
-          if (batch_eligible(it->req) && same_batch_key(out.front().req, it->req)) {
+          if (same_batch_key(out.front().req, it->req, opt_.solve)) {
             out.push_back(std::move(*it));
             it = q.erase(it);
             ++in_flight_;
@@ -220,132 +214,41 @@ void SolverService::worker_main(int wid) {
   obs::Attach attach(&registry_);
   plan::PlanCache* cache =
       worker_caches_.empty() ? &cache_ : worker_caches_[static_cast<std::size_t>(wid)].get();
-  // Per-worker scratch for the request-path copies (matrix values, RHS,
-  // boundary conditions): vector copy-assignment reuses the allocation, so
-  // the steady state pays a memcpy per request instead of a multi-MB
-  // malloc/free churn.
-  Scratch scratch;
+  // Per-worker scratch for the request-path copies (matrix values, RHS):
+  // vector copy-assignment reuses the allocation, so the steady state pays a
+  // memcpy per request instead of a multi-MB malloc/free churn.
+  fem::System scratch;
   std::vector<Ticket> batch;
   while (next_batch(batch)) process_batch(std::move(batch), cache, scratch);
 }
 
-void SolverService::process(Ticket t, plan::PlanCache* cache, Scratch& scratch) {
-  const auto dequeued = std::chrono::steady_clock::now();
-  const double queue_wait = seconds_since(t.admitted, dequeued);
-  const char* cls = class_name(t.req.priority);
-  registry_.histogram(std::string("svc.queue_wait.") + cls)->record(queue_wait);
-
-  SolveResponse resp;
-  resp.id = t.id;
-  resp.priority = t.req.priority;
-  resp.queue_seconds = queue_wait;
-
-  bool delivered = false;
-  try {
-    const std::size_t span = registry_.span_begin("svc.request");
-    // models_ is a deque (stable addresses) and only grows, so holding the
-    // lock just for the lookup is enough.
-    const Model* model_ptr;
-    {
-      std::lock_guard lock(models_mtx_);
-      model_ptr = &models_[static_cast<std::size_t>(t.req.model)];
-    }
-    const Model& model = *model_ptr;
-
-    // Per-request deltas on a copy of the registered base system. The copy
-    // (matrix values + RHS) is the numeric cost every request pays; the
-    // symbolic set-up is what the shared plan cache amortizes away.
-    fem::System& sys = scratch.sys;
-    sys.a = model.base.a;
-    sys.b = model.base.b;
-    if (t.req.active_groups.empty()) {
-      contact::add_penalty(sys.a, model.groups, t.req.lambda);
-    } else {
-      std::vector<std::vector<int>> active;
-      active.reserve(model.groups.size());
-      for (std::size_t g = 0; g < model.groups.size(); ++g)
-        if (t.req.active_groups[g]) active.push_back(model.groups[g]);
-      contact::add_penalty(sys.a, active, t.req.lambda);
-    }
-    fem::BoundaryConditions& bc = scratch.bc;
-    bc = model.bc;
-    if (t.req.load_scale != 1.0)
-      for (auto& l : bc.loads) l.value *= t.req.load_scale;
-    fem::apply_boundary_conditions(sys, bc);
-
-    core::SolveConfig cfg = opt_.solve;
-    cfg.penalty = t.req.lambda;
-    cfg.plan_cache = cache;
-    cfg.registry = &registry_;  // re-entrant session entry
-    if (t.req.tolerance > 0.0) cfg.cg.tolerance = t.req.tolerance;
-    if (t.req.precision) cfg.precision = *t.req.precision;
-    if (t.req.variant) cfg.cg.variant = *t.req.variant;
-
-    util::Timer solve_timer;
-    resp.report = core::solve_system(sys, model.sn, cfg);
-    const double solve_seconds = solve_timer.seconds();
-    resp.status = resp.report.status;
-    if (!opt_.keep_solutions) {
-      resp.report.solution.clear();
-      resp.report.solution.shrink_to_fit();
-    }
-    registry_.span_end(span);
-    registry_.histogram("svc.solve_seconds")->record(solve_seconds);
-    if (resp.report.plan_reused)
-      registry_.counter(std::string("svc.plan_reused.") + cls)->add(1);
-
-    resp.total_seconds = seconds_since(t.admitted, std::chrono::steady_clock::now());
-    registry_.histogram(std::string("svc.latency.") + cls)->record(resp.total_seconds);
-    const bool failed = !ok(resp.status);
-    registry_.counter(std::string("svc.completed.") + cls)->add(1);
-    if (failed) registry_.counter(std::string("svc.failed.") + cls)->add(1);
-    {
-      // count BEFORE resolving the future: a caller who has seen every
-      // future resolve must never read stale counts()
-      std::lock_guard lock(mtx_);
-      ++counts_.completed;
-      if (failed) ++counts_.failed;
-    }
-    delivered = true;
-    t.promise.set_value(std::move(resp));
-  } catch (...) {
-    // A throwing solve (factorization failure without resilience, stale
-    // plan, bad request state) must not kill the worker: the exception is
-    // delivered through the future and the request is accounted as failed.
-    registry_.counter(std::string("svc.failed.") + cls)->add(1);
-    if (!delivered) {
-      {
-        std::lock_guard lock(mtx_);
-        ++counts_.completed;
-        ++counts_.failed;
-      }
-      t.promise.set_exception(std::current_exception());
-    }
-  }
-  {
-    std::lock_guard lock(mtx_);
-    --in_flight_;
-    if (in_flight_ == 0 && queues_[0].empty() && queues_[1].empty()) cv_drain_.notify_all();
-  }
-}
-
 void SolverService::process_batch(std::vector<Ticket> batch, plan::PlanCache* cache,
-                                  Scratch& scratch) {
-  if (batch.size() == 1) {
-    // Dispatch of one: the single-RHS path, verbatim — a lone request's
-    // response is bit-identical with coalescing on or off.
-    process(std::move(batch.front()), cache, scratch);
-    return;
-  }
+                                  fem::System& sys) {
   const std::size_t k = batch.size();
   const auto dequeued = std::chrono::steady_clock::now();
   for (const auto& t : batch)
     registry_.histogram(std::string("svc.queue_wait.") + class_name(t.req.priority))
         ->record(seconds_since(t.admitted, dequeued));
 
+  // Counts ticket i BEFORE its future resolves: a caller who has seen every
+  // future resolve must never read stale counts().
   std::vector<bool> delivered(k, false);
+  const auto account = [&](std::size_t i, bool failed) {
+    if (failed)
+      registry_.counter(std::string("svc.failed.") + class_name(batch[i].req.priority))->add(1);
+    std::lock_guard lock(mtx_);
+    ++counts_.completed;
+    if (failed) ++counts_.failed;
+    delivered[i] = true;
+  };
+  const auto fail = [&](std::size_t i, std::exception_ptr err) {
+    account(i, true);
+    batch[i].promise.set_exception(std::move(err));
+  };
   try {
-    const std::size_t span = registry_.span_begin("svc.request.batched");
+    const std::size_t span = registry_.span_begin("svc.request");
+    // models_ is a deque (stable addresses) and only grows, so holding the
+    // lock just for the lookup is enough.
     const Model* model_ptr;
     {
       std::lock_guard lock(models_mtx_);
@@ -354,10 +257,12 @@ void SolverService::process_batch(std::vector<Ticket> batch, plan::PlanCache* ca
     const Model& model = *model_ptr;
     const SolveRequest& lead = batch.front().req;
 
-    // One system copy + penalty for the whole batch (the coalescing key
-    // guarantees every ticket wants these exact matrix values), then one
-    // elimination sweep producing all k right-hand sides.
-    fem::System& sys = scratch.sys;
+    // Per-dispatch deltas on a copy of the registered base system: one copy
+    // + penalty for the whole batch (the coalescing key guarantees every
+    // ticket wants these exact matrix values), then one elimination sweep
+    // producing all k right-hand sides. The copy is the numeric cost every
+    // dispatch pays; the symbolic set-up is what the shared plan cache
+    // amortizes away.
     sys.a = model.base.a;
     sys.b = model.base.b;
     if (lead.active_groups.empty()) {
@@ -369,68 +274,73 @@ void SolverService::process_batch(std::vector<Ticket> batch, plan::PlanCache* ca
         if (lead.active_groups[g]) active.push_back(model.groups[g]);
       contact::add_penalty(sys.a, active, lead.lambda);
     }
-    std::vector<double> scales(k), tols(k);
     core::SolveConfig cfg = opt_.solve;
     cfg.penalty = lead.lambda;
     cfg.plan_cache = cache;
     cfg.registry = &registry_;  // re-entrant session entry
+    cfg.precision = lead.precision.value_or(cfg.precision);
+    cfg.cg.variant = lead.variant.value_or(cfg.cg.variant);
+    std::vector<double> scales(k);
+    for (std::size_t i = 0; i < k; ++i) scales[i] = batch[i].req.load_scale;
+    auto cols = fem::apply_boundary_conditions_multi(sys, model.bc, scales);
+
+    // A column the CG engine refuses (a zero right-hand side) fails its own
+    // ticket with the engine's error; the others solve as if it had never
+    // been coalesced.
+    std::vector<std::size_t> solve;
+    std::vector<std::vector<double>> rhs;
+    std::vector<double> tols;
     for (std::size_t i = 0; i < k; ++i) {
-      scales[i] = batch[i].req.load_scale;
-      tols[i] = batch[i].req.tolerance > 0.0 ? batch[i].req.tolerance : cfg.cg.tolerance;
+      try {
+        solver::require_rhs(
+            std::sqrt(std::inner_product(cols[i].begin(), cols[i].end(), cols[i].begin(), 0.0)));
+      } catch (...) {
+        fail(i, std::current_exception());
+        continue;
+      }
+      solve.push_back(i);
+      rhs.push_back(std::move(cols[i]));
+      tols.push_back(batch[i].req.tolerance > 0.0 ? batch[i].req.tolerance : cfg.cg.tolerance);
     }
-    const auto cols = fem::apply_boundary_conditions_multi(sys, model.bc, scales);
+    if (solve.empty()) {
+      registry_.span_end(span);
+    } else {
+      util::Timer solve_timer;
+      std::vector<core::SolveReport> reports =
+          core::solve_system_batched(sys, model.sn, cfg, rhs, tols);
+      const double solve_seconds = solve_timer.seconds();
+      registry_.span_end(span);
+      registry_.histogram("svc.solve_seconds")->record(solve_seconds);
+      // One plan consult served the whole dispatch: count the reuse once.
+      if (reports.front().plan_reused)
+        registry_.counter(std::string("svc.plan_reused.") + class_name(lead.priority))->add(1);
 
-    util::Timer solve_timer;
-    std::vector<core::SolveReport> reports =
-        core::solve_system_batched(sys, model.sn, cfg, cols, tols);
-    const double solve_seconds = solve_timer.seconds();
-    registry_.span_end(span);
-    registry_.histogram("svc.solve_seconds")->record(solve_seconds);
-    // One plan consult served the whole batch: count the reuse once (the
-    // single-RHS path counts one per request because it pays one per request).
-    if (reports.front().plan_reused)
-      registry_.counter(std::string("svc.plan_reused.") + class_name(lead.priority))->add(1);
-
-    for (std::size_t i = 0; i < k; ++i) {
-      Ticket& t = batch[i];
-      const char* cls = class_name(t.req.priority);
-      SolveResponse resp;
-      resp.id = t.id;
-      resp.priority = t.req.priority;
-      resp.queue_seconds = seconds_since(t.admitted, dequeued);
-      resp.report = std::move(reports[i]);
-      resp.status = resp.report.status;
-      if (!opt_.keep_solutions) {
-        resp.report.solution.clear();
-        resp.report.solution.shrink_to_fit();
+      for (std::size_t j = 0; j < solve.size(); ++j) {
+        Ticket& t = batch[solve[j]];
+        SolveResponse resp;
+        resp.id = t.id;
+        resp.priority = t.req.priority;
+        resp.queue_seconds = seconds_since(t.admitted, dequeued);
+        resp.report = std::move(reports[j]);
+        resp.status = resp.report.status;
+        if (!opt_.keep_solutions) {
+          resp.report.solution.clear();
+          resp.report.solution.shrink_to_fit();
+        }
+        resp.total_seconds = seconds_since(t.admitted, std::chrono::steady_clock::now());
+        const char* cls = class_name(t.req.priority);
+        registry_.histogram(std::string("svc.latency.") + cls)->record(resp.total_seconds);
+        registry_.counter(std::string("svc.completed.") + cls)->add(1);
+        account(solve[j], !ok(resp.status));
+        t.promise.set_value(std::move(resp));
       }
-      resp.total_seconds = seconds_since(t.admitted, std::chrono::steady_clock::now());
-      registry_.histogram(std::string("svc.latency.") + cls)->record(resp.total_seconds);
-      const bool failed = !ok(resp.status);
-      registry_.counter(std::string("svc.completed.") + cls)->add(1);
-      if (failed) registry_.counter(std::string("svc.failed.") + cls)->add(1);
-      {
-        // count BEFORE resolving the future (same contract as process())
-        std::lock_guard lock(mtx_);
-        ++counts_.completed;
-        if (failed) ++counts_.failed;
-      }
-      delivered[i] = true;
-      t.promise.set_value(std::move(resp));
     }
   } catch (...) {
-    // A throwing batched solve fails every still-unresolved ticket; the
-    // exception fans out through each future.
-    for (std::size_t i = 0; i < k; ++i) {
-      if (delivered[i]) continue;
-      registry_.counter(std::string("svc.failed.") + class_name(batch[i].req.priority))->add(1);
-      {
-        std::lock_guard lock(mtx_);
-        ++counts_.completed;
-        ++counts_.failed;
-      }
-      batch[i].promise.set_exception(std::current_exception());
-    }
+    // A throwing solve (factorization failure without resilience, stale
+    // plan, bad request state) must not kill the worker: the exception fans
+    // out through every still-unresolved future, each accounted as failed.
+    for (std::size_t i = 0; i < k; ++i)
+      if (!delivered[i]) fail(i, std::current_exception());
   }
   {
     std::lock_guard lock(mtx_);

@@ -64,12 +64,14 @@ struct SolveRequest {
   /// requests carry the usual automatic fp64 re-set-up on stagnation or
   /// narrowing breakdown (SolveReport::precision_fallbacks). Precision keys
   /// the plan fingerprint, so mixed-precision request streams on one model
-  /// hold two plans in the shared cache, both warm.
+  /// hold two plans in the shared cache, both warm; it also keys request
+  /// coalescing.
   std::optional<precond::Precision> precision;
   /// Optional CG-variant override (classic / Gropp / pipelined); unset uses
   /// the service's base SolveConfig::cg.variant. Variants are a pure
   /// arithmetic choice — they do not key the plan fingerprint, so mixing
-  /// variants on one model stays warm in the plan cache.
+  /// variants on one model stays warm in the plan cache — but they key
+  /// request coalescing.
   std::optional<solver::CGVariant> variant;
 };
 
@@ -105,20 +107,18 @@ struct ServiceOptions {
   /// Drop each response's solution vector after the solve (latency benches
   /// at scale; keep true for bit-identity checks).
   bool keep_solutions = true;
-  /// Request coalescing (DESIGN.md §5k). A dispatching worker whose leader
-  /// request is batch-eligible scans both queues for requests with the same
-  /// coalescing key — (model, lambda, active_groups), i.e. the same matrix
-  /// values and plan fingerprint — and solves up to max_batch of them as ONE
-  /// batched multi-RHS solve (core::solve_system_batched: one system copy,
-  /// one set-up, one SpMM + one preconditioner walk per CG iteration for all
-  /// columns). Coalesced requests may differ in load_scale and tolerance.
-  /// Eligibility further requires the request to resolve to fp64 + classic
-  /// CG with resilience disabled (the batched core path is a direct solve);
-  /// ineligible requests always take the single-RHS path. Coalescing pulls
-  /// matching followers out of FIFO order (they ride the leader's dispatch).
-  /// 1 disables coalescing. A dispatch of size 1 — including every dispatch
-  /// when max_batch == 1 — runs the single-RHS path unchanged, so a lone
-  /// request's response is bit-identical with coalescing on or off.
+  /// Request coalescing (DESIGN.md §5k). A dispatching worker scans both
+  /// queues for requests with its leader's coalescing key — (model, lambda,
+  /// active_groups, precision, variant), i.e. the same matrix values, plan
+  /// fingerprint and CG arithmetic — and solves up to max_batch of them as
+  /// ONE batched multi-RHS solve (core::solve_system_batched: one system
+  /// copy, one set-up per ladder attempt, one SpMM + one preconditioner walk
+  /// per CG iteration for all columns). Coalesced requests may differ in
+  /// load_scale and tolerance; each column keeps its own variant retry,
+  /// fp64 re-set-up and resilience rungs. Coalescing pulls matching
+  /// followers out of FIFO order (they ride the leader's dispatch). 1
+  /// disables coalescing. Every dispatch, of one request or more, runs the
+  /// same path; a dispatch of one is bit-identical to solve_system.
   int max_batch = 1;
   /// With coalescing on and fewer than max_batch matching requests queued: a
   /// worker whose leader is Priority::kBatch may wait up to this many
@@ -197,23 +197,18 @@ class SolverService {
     std::promise<SolveResponse> promise;
   };
 
-  /// Per-worker request-path scratch; reused so the per-request system copy
-  /// is a memcpy into an existing allocation, not fresh multi-MB malloc/free.
-  struct Scratch {
-    fem::System sys;
-    fem::BoundaryConditions bc;
-  };
 
   void worker_main(int wid);
   /// Scheduling policy + coalescing window; false = stopping. `out` receives
   /// the leader (chosen by the existing priority policy) plus up to
   /// max_batch - 1 same-key followers.
   bool next_batch(std::vector<Ticket>& out);
-  void process(Ticket t, plan::PlanCache* cache, Scratch& scratch);
-  /// Size-1 batches forward to process(); larger ones run the batched
-  /// multi-RHS solve and fan per-column results out to the tickets' promises.
-  void process_batch(std::vector<Ticket> batch, plan::PlanCache* cache, Scratch& scratch);
-  [[nodiscard]] bool batch_eligible(const SolveRequest& req) const;
+  /// Solves a dispatch of one or more same-key requests as one batched
+  /// multi-RHS solve and fans per-column results (or errors) out to the
+  /// tickets' promises. `sys` is the worker's reused system copy: the
+  /// per-dispatch copy is a memcpy into an existing allocation, not a fresh
+  /// multi-MB malloc/free.
+  void process_batch(std::vector<Ticket> batch, plan::PlanCache* cache, fem::System& sys);
 
   ServiceOptions opt_;
   obs::Registry registry_;

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <optional>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -17,9 +19,11 @@
 #include "dist/dist_solver.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
+#include "obs/registry.hpp"
 #include "par/par.hpp"
 #include "part/local_system.hpp"
 #include "part/partition.hpp"
+#include "plan/cache.hpp"
 #include "precond/bic.hpp"
 #include "precond/diagonal.hpp"
 #include "precond/sb_bic0.hpp"
@@ -371,7 +375,6 @@ TEST(BatchSolver, CompactionTriggersAndPreservesResults) {
   gso::BatchedCGOptions bopt;
   // spread freeze points so the working batch shrinks in steps
   bopt.tolerances = {1e-2, 1e-3, 1e-5, 1e-7, 1e-8, 1e-9};
-  bopt.compact_threshold = 0.9;  // repack on (almost) every freeze
   const std::vector<double> bi = interleave(cols);
   std::vector<double> xi(n * static_cast<std::size_t>(k), 0.0);
   const gso::BatchedCGResult res = gso::pcg_batched(pb.sys.a, *m, bi, xi, k, bopt);
@@ -397,13 +400,85 @@ TEST(BatchSolver, ContractViolationsThrow) {
     std::vector<double> xi(n * 2, 0.0);
     EXPECT_THROW(gso::pcg_batched(pb.sys.a, *m, bi, xi, 2, {}), std::logic_error);
   }
-  // non-classic variant with k > 1
-  {
+}
+
+TEST(BatchSolver, GroppAndPipelinedColumnsMatchSoloSolves) {
+  ContactProblem pb;
+  const std::size_t n = pb.sys.a.ndof();
+  const auto m = gcore::make_preconditioner(gcore::PrecondKind::kSBBIC0, pb.sys.a, pb.supers);
+  // three distinct loads: b, 2b and b with a one-dof perturbation
+  std::vector<std::vector<double>> cols{pb.sys.b, pb.sys.b, pb.sys.b};
+  for (auto& v : cols[1]) v *= 2.0;
+  cols[2][n / 2] += 0.5 * max_abs(pb.sys.b);
+  const int k = 3;
+  for (const auto variant : {gso::CGVariant::kGropp, gso::CGVariant::kPipelined}) {
     gso::BatchedCGOptions bopt;
-    bopt.cg.variant = gso::CGVariant::kGropp;
-    const std::vector<double> bi = interleave({pb.sys.b, pb.sys.b});
-    std::vector<double> xi(n * 2, 0.0);
-    EXPECT_THROW(gso::pcg_batched(pb.sys.a, *m, bi, xi, 2, bopt), std::logic_error);
+    bopt.cg.tolerance = 1e-8;
+    bopt.cg.variant = variant;
+    const std::vector<double> bi = interleave(cols);
+    std::vector<double> xi(n * k, 0.0);
+    const gso::BatchedCGResult res = gso::pcg_batched(pb.sys.a, *m, bi, xi, k, bopt);
+    ASSERT_EQ(res.columns.size(), 3u);
+    for (int c = 0; c < k; ++c) {
+      const auto cc = static_cast<std::size_t>(c);
+      const std::vector<double> xc = column(xi, n, k, c);
+      EXPECT_TRUE(res.columns[cc].converged()) << gso::to_string(variant) << " col " << c;
+      EXPECT_LE(true_residual(pb.sys.a, cols[cc], xc), 1e-8) << gso::to_string(variant);
+      std::vector<double> x_ref(n, 0.0);
+      const gso::CGResult ref = gso::pcg(pb.sys.a, *m, cols[cc], x_ref, bopt.cg);
+      EXPECT_EQ(res.columns[cc].status, ref.status) << gso::to_string(variant) << " col " << c;
+      EXPECT_LT(max_abs_diff(xc, x_ref), 1e-6 * std::max(1.0, max_abs(x_ref)))
+          << gso::to_string(variant) << " col " << c;
+    }
+  }
+}
+
+TEST(BatchSolver, StagnatingColumnFreezesWithoutDisturbingSiblings) {
+  // BIC(0) at lambda 1e4 reaches 1e-2 in ~110 iterations, then stalls around
+  // 1e-6: with a window of 100 a 1e-8 column stagnates while 1e-2 columns
+  // converge. Every variant's stalled column must end as its solo solve does
+  // (for Gropp/pipelined: after its own kClassic retry).
+  ContactProblem pb(1e4, {4, 4, 3, 4, 4});
+  const std::size_t n = pb.sys.a.ndof();
+  const auto m = gcore::make_preconditioner(gcore::PrecondKind::kBIC0, pb.sys.a, pb.supers);
+  std::vector<double> b2 = pb.sys.b;
+  for (auto& v : b2) v *= 2.0;
+  const std::vector<double> bi = interleave({pb.sys.b, b2, pb.sys.b});
+  const int k = 3;
+  for (const auto variant : {gso::CGVariant::kClassic, gso::CGVariant::kGropp,
+                             gso::CGVariant::kPipelined}) {
+    gso::BatchedCGOptions bopt;
+    bopt.cg.variant = variant;
+    bopt.cg.stagnation_window = 100;
+    bopt.cg.max_iterations = 3000;
+    bopt.cg.record_residuals = true;
+    // the reference batch: the same three columns, all at the loose tolerance
+    bopt.tolerances = {1e-2, 1e-2, 1e-2};
+    std::vector<double> xr(n * k, 0.0);
+    const gso::BatchedCGResult ref = gso::pcg_batched(pb.sys.a, *m, bi, xr, k, bopt);
+    bopt.tolerances = {1e-2, 1e-2, 1e-8};
+    std::vector<double> xi(n * k, 0.0);
+    const gso::BatchedCGResult res = gso::pcg_batched(pb.sys.a, *m, bi, xi, k, bopt);
+
+    gso::CGOptions solo = bopt.cg;
+    solo.tolerance = 1e-8;
+    std::vector<double> xs(n, 0.0);
+    const gso::CGResult stalled = gso::pcg(pb.sys.a, *m, pb.sys.b, xs, solo);
+    ASSERT_EQ(stalled.status, variant == gso::CGVariant::kClassic
+                                  ? geofem::SolveStatus::kStagnated
+                                  : stalled.status);
+    ASSERT_FALSE(stalled.converged()) << gso::to_string(variant);
+    EXPECT_EQ(res.columns[2].status, stalled.status) << gso::to_string(variant);
+    EXPECT_EQ(res.columns[2].variant_fallbacks, stalled.variant_fallbacks);
+    EXPECT_EQ(res.columns[2].variant_fallbacks, variant == gso::CGVariant::kClassic ? 0 : 1);
+    // the siblings ran the same interleaved width either way: bitwise equal
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(res.columns[c].status, geofem::SolveStatus::kConverged);
+      EXPECT_EQ(res.columns[c].variant_fallbacks, 0);
+      EXPECT_EQ(res.columns[c].residual_history, ref.columns[c].residual_history)
+          << gso::to_string(variant) << " col " << c;
+      EXPECT_EQ(column(xi, n, k, static_cast<int>(c)), column(xr, n, k, static_cast<int>(c)));
+    }
   }
 }
 
@@ -474,11 +549,101 @@ TEST(BatchCore, MultiColumnSharesSetupAndMatchesSeparateSolves) {
               1e-6 * std::max(1.0, max_abs(ref.solution)))
         << "col " << c;
   }
-  // multi-RHS is the direct path only: resilience must be rejected for k > 1
-  gcore::SolveConfig bad = cfg;
-  bad.resilience.enabled = true;
-  EXPECT_THROW(gcore::solve_system_batched(pb.sys, pb.supers, bad, {pb.sys.b, b2}),
-               std::logic_error);
+}
+
+TEST(BatchCore, ResilientColumnsMatchSoloLadders) {
+  // The Fallback.StagnatedBIC0RecoversViaSBBIC0 fixture: BIC(0) stagnates at
+  // lambda 1e12 and SB-BIC(0) recovers. Both columns walk the ladder in one
+  // batch, each ending where its solo resilient solve ends.
+  ContactProblem pb(1e12, {4, 4, 3, 4, 4});
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.cg.max_iterations = 2000;
+  cfg.resilience.enabled = true;
+  cfg.resilience.stagnation_window = 100;
+  std::vector<double> b2 = pb.sys.b;
+  for (auto& v : b2) v *= 2.0;
+  const auto reports = gcore::solve_system_batched(pb.sys, pb.supers, cfg, {pb.sys.b, b2});
+  ASSERT_EQ(reports.size(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const gf::System one{pb.sys.a, c == 0 ? pb.sys.b : b2};
+    const gcore::SolveReport solo = gcore::solve_system(one, pb.supers, cfg);
+    ASSERT_EQ(solo.status, geofem::SolveStatus::kFellBack);
+    EXPECT_EQ(reports[c].status, solo.status) << "col " << c;
+    EXPECT_EQ(reports[c].attempts, solo.attempts) << "col " << c;
+    EXPECT_EQ(reports[c].precision_fallbacks, solo.precision_fallbacks) << "col " << c;
+    EXPECT_GT(reports[c].fallback_iterations, 0);
+    EXPECT_LE(reports[c].cg.relative_residual, cfg.cg.tolerance);
+    // lambda 1e12 leaves ||b - Ax|| far above the recurrence residual for
+    // any trajectory; the batch's must be as small as the solo solve's
+    EXPECT_LT(true_residual(pb.sys.a, one.b, reports[c].solution),
+              2.0 * true_residual(pb.sys.a, one.b, solo.solution))
+        << "col " << c;
+  }
+}
+
+TEST(BatchCore, OnlyTheFailingColumnWalksTheNextRung) {
+  // BIC(0) reaches 1e-2 within a tight budget but not 1e-13: the tight
+  // column alone falls back to SB-BIC(0); the loose one keeps its primary.
+  ContactProblem pb(1e4, {4, 4, 3, 4, 4});
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.cg.max_iterations = 150;
+  cfg.resilience.enabled = true;
+  geofem::obs::Registry reg;
+  cfg.registry = &reg;
+  const auto reports =
+      gcore::solve_system_batched(pb.sys, pb.supers, cfg, {pb.sys.b, pb.sys.b}, {1e-2, 1e-13});
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].status, geofem::SolveStatus::kConverged);
+  EXPECT_EQ(reports[0].attempts, std::vector<gcore::PrecondKind>{gcore::PrecondKind::kBIC0});
+  EXPECT_EQ(reports[0].fallback_iterations, 0);
+  EXPECT_LE(reports[0].cg.relative_residual, 1e-2);
+  EXPECT_EQ(reports[1].status, geofem::SolveStatus::kFellBack);
+  EXPECT_EQ(reports[1].attempts, (std::vector<gcore::PrecondKind>{gcore::PrecondKind::kBIC0,
+                                                                  gcore::PrecondKind::kSBBIC0}));
+  EXPECT_EQ(reports[1].fallback_iterations, cfg.cg.max_iterations);
+  EXPECT_LE(reports[1].cg.relative_residual, 1e-13);
+  // one failed attempt, one recovery: the rung ran for the tight column only
+  const auto snap = reg.snapshot();
+  ASSERT_NE(snap.counter("core.fallback.attempts"), nullptr);
+  EXPECT_EQ(*snap.counter("core.fallback.attempts"), 1u);
+  ASSERT_NE(snap.counter("core.fallback.recovered"), nullptr);
+  EXPECT_EQ(*snap.counter("core.fallback.recovered"), 1u);
+}
+
+TEST(BatchCore, Fp32BatchTakesOneFp64Resetup) {
+  // The PrecisionSolve.Fp32StagnationTriggersExactlyOneFp64Resetup fixture
+  // with two columns: both fp32 columns stagnate, and ONE fp64 re-set-up
+  // serves them both, reproducing the direct fp64 batch bit for bit.
+  ContactProblem pb(1e12, {4, 4, 3, 4, 4});
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.cg.max_iterations = 400;
+  cfg.cg.record_residuals = true;
+  cfg.resilience.stagnation_window = 100;  // arms only the fp32 attempt
+  std::vector<double> b2 = pb.sys.b;
+  for (auto& v : b2) v *= 2.0;
+  geofem::plan::PlanCache cache(8, 1);
+  cfg.plan_cache = &cache;
+  const auto r64 = gcore::solve_system_batched(pb.sys, pb.supers, cfg, {pb.sys.b, b2});
+  cfg.precision = gp::Precision::kSingle;
+  geofem::plan::PlanCache cache32(8, 1);
+  cfg.plan_cache = &cache32;
+  const auto r32 = gcore::solve_system_batched(pb.sys, pb.supers, cfg, {pb.sys.b, b2});
+  ASSERT_EQ(r32.size(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(r32[c].precision_fallbacks, 1) << "col " << c;
+    EXPECT_GT(r32[c].fallback_iterations, 0);
+    EXPECT_LT(r32[c].fallback_iterations, cfg.cg.max_iterations);
+    EXPECT_EQ(r32[c].attempts.size(), 1u);
+    EXPECT_EQ(r32[c].status, r64[c].status);
+    EXPECT_EQ(r32[c].cg.residual_history, r64[c].cg.residual_history) << "col " << c;
+    EXPECT_EQ(r32[c].solution, r64[c].solution) << "col " << c;
+  }
+  // two set-ups in all: the fp32 primary and one fp64 re-set-up
+  const geofem::plan::CacheStats st = cache32.stats();
+  EXPECT_EQ(st.hits + st.misses, 2u);
 }
 
 TEST(BatchCore, MultiBcColumnsBitwiseMatchScaledSinglePath) {
@@ -681,30 +846,105 @@ TEST(BatchSvc, WindowTimeoutIsCounted) {
   EXPECT_EQ(hist->max, 1.0);
 }
 
-TEST(BatchSvc, IneligibleRequestsNeverCoalesce) {
+TEST(BatchSvc, CoalescingKeySeparatesPrecisionAndVariant) {
   const gm::HexMesh mesh = gm::simple_block({3, 3, 2, 3, 3});
+  // one worker + a long window: the first leader harvests every same-key
+  // request before dispatching
   gsvc::SolverService svc(batch_service(1, 4, 0.5));
   const gsvc::ModelId model =
       svc.register_model(mesh, {{1.0, 0.3}}, ContactProblem::make_bc(mesh));
+  struct Kind {
+    std::optional<gso::CGVariant> variant;
+    std::optional<gp::Precision> precision;
+  };
+  // two Gropp pairs, then one request differing only in precision and one
+  // differing only in variant: four keys in all
+  const Kind kinds[] = {{gso::CGVariant::kGropp, {}},
+                        {gso::CGVariant::kGropp, {}},
+                        {gso::CGVariant::kGropp, gp::Precision::kSingle},
+                        {gso::CGVariant::kPipelined, {}},
+                        {gso::CGVariant::kGropp, {}},
+                        {{}, {}}};
   std::vector<std::future<gsvc::SolveResponse>> futures;
-  for (int i = 0; i < 3; ++i) {
+  for (const Kind& kd : kinds) {
     gsvc::SolveRequest req;
     req.model = model;
     req.priority = gsvc::Priority::kBatch;
     req.lambda = 1e4;
-    req.variant = gso::CGVariant::kGropp;  // non-classic: never batch-eligible
+    req.variant = kd.variant;
+    req.precision = kd.precision;
     futures.push_back(svc.submit(req));
   }
-  for (auto& f : futures) ASSERT_TRUE(ok(f.get().status));
-  const auto snap = svc.registry().snapshot();
-  const auto* hit = snap.counter("svc.coalesce.hit");
-  if (hit != nullptr) {
-    EXPECT_EQ(*hit, 0u);
+  for (auto& f : futures) {
+    const gsvc::SolveResponse r = f.get();
+    ASSERT_TRUE(ok(r.status));
+    EXPECT_LE(r.report.cg.relative_residual, 1e-8);
   }
+  const auto snap = svc.registry().snapshot();
+  // dispatches: {Gropp x3}, {Gropp fp32}, {pipelined}, {classic}
+  const auto* hit = snap.counter("svc.coalesce.hit");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 2u);
   const geofem::obs::HistogramData* hist = snap.histogram("svc.batch_size");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 3u);  // three solo dispatches
-  EXPECT_EQ(hist->max, 1.0);
+  EXPECT_EQ(hist->count, 4u);
+  EXPECT_EQ(hist->max, 3.0);
+}
+
+TEST(BatchSvc, ZeroRhsColumnFailsOnlyItsOwnRequest) {
+  // Three coalesced requests, the middle one with no load: it gets the error
+  // its solo dispatch raises; its siblings get the responses they get when
+  // it is never submitted.
+  const gm::HexMesh mesh = gm::simple_block({3, 3, 2, 3, 3});
+  const auto submit = [&](gsvc::SolverService& svc, double scale) {
+    gsvc::SolveRequest req;
+    req.priority = gsvc::Priority::kBatch;
+    req.lambda = 1e4;
+    req.load_scale = scale;
+    return svc.submit(req);
+  };
+  gsvc::SolverService solo(batch_service(1, 1, 0.0));
+  solo.register_model(mesh, {{1.0, 0.3}}, ContactProblem::make_bc(mesh));
+  std::string solo_error;
+  try {
+    submit(solo, 0.0).get();
+  } catch (const std::logic_error& e) {
+    solo_error = e.what();
+  }
+  ASSERT_FALSE(solo_error.empty());
+
+  gsvc::SolverService clean(batch_service(1, 4, 0.5));
+  clean.register_model(mesh, {{1.0, 0.3}}, ContactProblem::make_bc(mesh));
+  auto c1 = submit(clean, 1.0);
+  auto c2 = submit(clean, 2.0);
+  const gsvc::SolveResponse ref1 = c1.get(), ref2 = c2.get();
+
+  gsvc::SolverService svc(batch_service(1, 4, 0.5));
+  svc.register_model(mesh, {{1.0, 0.3}}, ContactProblem::make_bc(mesh));
+  auto f1 = submit(svc, 1.0);
+  auto f0 = submit(svc, 0.0);
+  auto f2 = submit(svc, 2.0);
+  std::string error;
+  try {
+    f0.get();
+  } catch (const std::logic_error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, solo_error);
+  const gsvc::SolveResponse r1 = f1.get(), r2 = f2.get();
+  ASSERT_TRUE(ok(r1.status));
+  ASSERT_TRUE(ok(r2.status));
+  EXPECT_EQ(r1.report.cg.iterations, ref1.report.cg.iterations);
+  EXPECT_EQ(r2.report.cg.iterations, ref2.report.cg.iterations);
+  EXPECT_EQ(r1.report.solution, ref1.report.solution);
+  EXPECT_EQ(r2.report.solution, ref2.report.solution);
+  const auto snap = svc.registry().snapshot();
+  const auto* hit = snap.counter("svc.coalesce.hit");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 2u);  // all three rode one dispatch
+  const gsvc::SolverService::Counts c = svc.counts();
+  EXPECT_EQ(c.completed, 3u);
+  EXPECT_EQ(c.failed, 1u);
 }
 
 TEST(BatchSvc, PerRequestToleranceHonoredWithinBatch) {
