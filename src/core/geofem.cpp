@@ -39,6 +39,7 @@ precond::PreconditionerPtr make_preconditioner(PrecondKind kind, const sparse::B
 
 SolveReport solve(const mesh::HexMesh& m, const std::vector<fem::Material>& materials,
                   const fem::BoundaryConditions& bc, const SolveConfig& cfg) {
+  par::TeamScope team(cfg.threads);  // the set-up runs on the solve's team too
   fem::System sys = fem::assemble_elasticity(m, materials);
   contact::add_penalty(sys.a, m.contact_groups, cfg.penalty);
   fem::apply_boundary_conditions(sys, bc);

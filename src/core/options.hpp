@@ -22,8 +22,10 @@ struct SolveOptionsBase {
   solver::CGOptions cg;
 
   /// OpenMP team size of the hybrid kernels (SpMV, BLAS-1, substitution
-  /// sweeps); 0 = all hardware threads — the paper's "PEs per SMP node".
-  /// Residual histories are bit-identical for any value (DESIGN.md §5e).
+  /// sweeps) and of the set-up inside the call (assembly, boundary
+  /// conditions, PDJDS layout, SB-BIC(0) factorization); 0 = all hardware
+  /// threads — the paper's "PEs per SMP node". Residual histories and every
+  /// set-up array are bit-identical for any value (DESIGN.md §5e, §5l).
   int threads = 0;
 
   /// Overlap each matvec's interior-row SpMV with halo message delivery.

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <span>
 
+#include "par/par.hpp"
 #include "sparse/pattern.hpp"
 #include "util/check.hpp"
 
@@ -55,13 +56,18 @@ void BoundaryConditions::surface_load(
 }
 
 void BoundaryConditions::body_force(const mesh::HexMesh& m, int comp, double f) {
-  for (const auto& h : m.hexes) {
+  // Element volumes on the caller's team, then the loads in element order.
+  std::vector<double> per_node(m.hexes.size());
+  par::parallel_for(m.num_elements(), par::threads(), 0, [&](std::ptrdiff_t e) {
+    const auto& h = m.hexes[static_cast<std::size_t>(e)];
     std::array<std::array<double, 3>, 8> xyz;
     for (int v = 0; v < 8; ++v) xyz[static_cast<std::size_t>(v)] =
         m.coords[static_cast<std::size_t>(h[static_cast<std::size_t>(v)])];
-    const double per_node = f * hex_volume(xyz) / 8.0;
-    for (int v : h) loads.push_back({v, comp, per_node});
-  }
+    per_node[static_cast<std::size_t>(e)] = f * hex_volume(xyz) / 8.0;
+  });
+  loads.reserve(loads.size() + 8 * m.hexes.size());
+  for (std::size_t e = 0; e < m.hexes.size(); ++e)
+    for (int v : m.hexes[e]) loads.push_back({v, comp, per_node[e]});
 }
 
 sparse::BlockCSR elasticity_pattern(const mesh::HexMesh& m) {
@@ -111,44 +117,61 @@ void add_element_stiffness(const mesh::HexMesh& m, const std::vector<Material>& 
   GEOFEM_CHECK(!materials.empty(), "need at least one material");
   GEOFEM_CHECK(mat.n == m.num_nodes(), "add_element_stiffness: matrix size mismatch");
   const int ne = m.num_elements();
-  // Scatter in (element, a, b) order, so every entry receives its
-  // contributions in element order, each added to the running sum.
-  double ke[24 * 24];
-  for (int e = 0; e < ne; ++e) {
-    const auto& h = m.hexes[static_cast<std::size_t>(e)];
-    std::array<std::array<double, 3>, 8> xyz;
-    for (int v = 0; v < 8; ++v) xyz[static_cast<std::size_t>(v)] =
-        m.coords[static_cast<std::size_t>(h[static_cast<std::size_t>(v)])];
-    const int zid = m.zone.empty() ? 0 : m.zone[static_cast<std::size_t>(e)];
-    const Material& mat_e =
-        materials[static_cast<std::size_t>(zid) < materials.size() ? static_cast<std::size_t>(zid)
-                                                                   : 0];
-    hex_stiffness(xyz, mat_e, ke);
-    // The element's local vertices by ascending node id: one merge walk of
-    // row h[a] then finds the entries of all 8 column nodes.
-    std::array<int, 8> by_node;
-    std::iota(by_node.begin(), by_node.end(), 0);
-    std::sort(by_node.begin(), by_node.end(), [&](int x, int y) {
-      return h[static_cast<std::size_t>(x)] < h[static_cast<std::size_t>(y)];
-    });
-    for (int a = 0; a < 8; ++a) {
-      const int row = h[static_cast<std::size_t>(a)];
-      int entry[8];
-      int p = mat.rowptr[static_cast<std::size_t>(row)];
-      const int end = mat.rowptr[static_cast<std::size_t>(row) + 1];
-      for (int b : by_node) {
-        while (p < end && mat.colind[static_cast<std::size_t>(p)] != h[static_cast<std::size_t>(b)])
-          ++p;
-        GEOFEM_CHECK(p < end, "block not in pattern");
-        entry[b] = p;
-      }
-      for (int b = 0; b < 8; ++b) {
-        double* dst = mat.block(entry[b]);
-        for (int r = 0; r < 3; ++r)
-          for (int c = 0; c < 3; ++c) dst[3 * r + c] += ke[(3 * a + r) * 24 + (3 * b + c)];
+  // Row-owner scatter: part p owns a contiguous range of rows. It walks the
+  // elements in order, computes the matrix of every element with a vertex in
+  // its range and adds only into its own rows, in (element, a, b) order. So
+  // every entry receives its contributions in element order, each added to
+  // the running sum, whichever part owns it and however many parts there
+  // are. An element on a range boundary is computed by each part it
+  // touches, from the same inputs and so to the same bits.
+  const int parts = par::threads();
+  par::parallel_for(parts, parts, 0, [&](std::ptrdiff_t part) {
+    const par::Range own =
+        par::static_range(static_cast<std::size_t>(mat.n), parts, static_cast<int>(part));
+    const auto owns = [&](int node) {
+      return static_cast<std::size_t>(node) >= own.begin &&
+             static_cast<std::size_t>(node) < own.end;
+    };
+    double ke[24 * 24];
+    for (int e = 0; e < ne; ++e) {
+      const auto& h = m.hexes[static_cast<std::size_t>(e)];
+      if (std::none_of(h.begin(), h.end(), owns)) continue;
+      std::array<std::array<double, 3>, 8> xyz;
+      for (int v = 0; v < 8; ++v) xyz[static_cast<std::size_t>(v)] =
+          m.coords[static_cast<std::size_t>(h[static_cast<std::size_t>(v)])];
+      const int zid = m.zone.empty() ? 0 : m.zone[static_cast<std::size_t>(e)];
+      const Material& mat_e = materials[static_cast<std::size_t>(zid) < materials.size()
+                                            ? static_cast<std::size_t>(zid)
+                                            : 0];
+      hex_stiffness(xyz, mat_e, ke);
+      // The element's local vertices by ascending node id: one merge walk of
+      // row h[a] then finds the entries of all 8 column nodes.
+      std::array<int, 8> by_node;
+      std::iota(by_node.begin(), by_node.end(), 0);
+      std::sort(by_node.begin(), by_node.end(), [&](int x, int y) {
+        return h[static_cast<std::size_t>(x)] < h[static_cast<std::size_t>(y)];
+      });
+      for (int a = 0; a < 8; ++a) {
+        const int row = h[static_cast<std::size_t>(a)];
+        if (!owns(row)) continue;
+        int entry[8];
+        int p = mat.rowptr[static_cast<std::size_t>(row)];
+        const int end = mat.rowptr[static_cast<std::size_t>(row) + 1];
+        for (int b : by_node) {
+          while (p < end &&
+                 mat.colind[static_cast<std::size_t>(p)] != h[static_cast<std::size_t>(b)])
+            ++p;
+          GEOFEM_CHECK(p < end, "block not in pattern");
+          entry[b] = p;
+        }
+        for (int b = 0; b < 8; ++b) {
+          double* dst = mat.block(entry[b]);
+          for (int r = 0; r < 3; ++r)
+            for (int c = 0; c < 3; ++c) dst[3 * r + c] += ke[(3 * a + r) * 24 + (3 * b + c)];
+        }
       }
     }
-  }
+  });
 }
 
 System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& materials) {
@@ -158,6 +181,31 @@ System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& 
   sys.b.assign(sys.a.ndof(), 0.0);
   return sys;
 }
+
+namespace {
+
+/// The fixed DOFs of `bc` on `a`: a flag and the prescribed value per DOF,
+/// and per node whether any of its DOFs is fixed.
+struct FixedDofs {
+  std::vector<char> dof;
+  std::vector<double> value;
+  std::vector<char> node;
+};
+
+FixedDofs mark_fixed(const sparse::BlockCSR& a, const BoundaryConditions& bc) {
+  FixedDofs fx{std::vector<char>(a.ndof(), 0), std::vector<double>(a.ndof(), 0.0),
+               std::vector<char>(static_cast<std::size_t>(a.n), 0)};
+  for (const auto& f : bc.fixes) {
+    GEOFEM_CHECK(f.node >= 0 && f.node < a.n && f.comp >= 0 && f.comp < 3, "bad fix");
+    const std::size_t d = static_cast<std::size_t>(f.node) * 3 + static_cast<std::size_t>(f.comp);
+    fx.dof[d] = 1;
+    fx.value[d] = f.value;
+    fx.node[static_cast<std::size_t>(f.node)] = 1;
+  }
+  return fx;
+}
+
+}  // namespace
 
 void apply_boundary_conditions(System& sys, const BoundaryConditions& bc) {
   auto& a = sys.a;
@@ -169,15 +217,7 @@ void apply_boundary_conditions(System& sys, const BoundaryConditions& bc) {
     b[static_cast<std::size_t>(l.node) * 3 + static_cast<std::size_t>(l.comp)] += l.value;
   }
 
-  // Mark fixed DOFs.
-  std::vector<char> fixed(a.ndof(), 0);
-  std::vector<double> fixval(a.ndof(), 0.0);
-  for (const auto& f : bc.fixes) {
-    GEOFEM_CHECK(f.node >= 0 && f.node < a.n && f.comp >= 0 && f.comp < 3, "bad fix");
-    const std::size_t d = static_cast<std::size_t>(f.node) * 3 + static_cast<std::size_t>(f.comp);
-    fixed[d] = 1;
-    fixval[d] = f.value;
-  }
+  const auto [fixed, fixval, fixed_node] = mark_fixed(a, bc);
 
   // Symmetric elimination. For each stored block (i,j), scalar entry
   // (r,c) = DOF (3i+r, 3j+c):
@@ -185,9 +225,15 @@ void apply_boundary_conditions(System& sys, const BoundaryConditions& bc) {
   //  * column fixed: b_row -= a * value, then zero
   //  * row fixed, col free: zero (the transpose pass handles the RHS)
   //  * both fixed: keep only the diagonal scalar
-  for (int i = 0; i < a.n; ++i) {
+  // so a block between two nodes with no fixed DOF is untouched and skipped.
+  // Each block row writes only its own blocks and its own RHS rows, so the
+  // rows run on the caller's team with the serial arithmetic.
+  par::parallel_for(a.n, par::threads(), 0, [&](std::ptrdiff_t pi) {
+    const int i = static_cast<int>(pi);
     for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
       const int j = a.colind[e];
+      if (!fixed_node[static_cast<std::size_t>(i)] && !fixed_node[static_cast<std::size_t>(j)])
+        continue;
       double* blk = a.block(e);
       for (int r = 0; r < 3; ++r) {
         const std::size_t row = static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(r);
@@ -200,10 +246,9 @@ void apply_boundary_conditions(System& sys, const BoundaryConditions& bc) {
         }
       }
     }
-  }
-  // Fixed diagonal scalars: keep original magnitude (conditioning-neutral),
-  // set RHS so the solve returns exactly the prescribed value.
-  for (int i = 0; i < a.n; ++i) {
+    // Fixed diagonal scalars: keep original magnitude (conditioning-neutral),
+    // set RHS so the solve returns exactly the prescribed value.
+    if (!fixed_node[static_cast<std::size_t>(i)]) return;
     double* d = a.block(a.diag_entry(i));
     for (int r = 0; r < 3; ++r) {
       const std::size_t row = static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(r);
@@ -211,7 +256,7 @@ void apply_boundary_conditions(System& sys, const BoundaryConditions& bc) {
       if (d[3 * r + r] == 0.0) d[3 * r + r] = 1.0;
       b[row] = d[3 * r + r] * fixval[row];
     }
-  }
+  });
 }
 
 std::vector<std::vector<double>> apply_boundary_conditions_multi(
@@ -232,20 +277,18 @@ std::vector<std::vector<double>> apply_boundary_conditions_multi(
     }
   }
 
-  std::vector<char> fixed(a.ndof(), 0);
-  std::vector<double> fixval(a.ndof(), 0.0);
-  for (const auto& f : bc.fixes) {
-    GEOFEM_CHECK(f.node >= 0 && f.node < a.n && f.comp >= 0 && f.comp < 3, "bad fix");
-    const std::size_t d = static_cast<std::size_t>(f.node) * 3 + static_cast<std::size_t>(f.comp);
-    fixed[d] = 1;
-    fixval[d] = f.value;
-  }
+  const auto [fixed, fixval, fixed_node] = mark_fixed(a, bc);
 
   // One elimination sweep: every column's RHS update reads the matrix value
   // BEFORE it is zeroed, exactly as k independent single-RHS sweeps would.
-  for (int i = 0; i < a.n; ++i) {
+  // Rows run on the caller's team and skip untouched blocks, as in the
+  // single-RHS sweep.
+  par::parallel_for(a.n, par::threads(), 0, [&](std::ptrdiff_t pi) {
+    const int i = static_cast<int>(pi);
     for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) {
       const int j = a.colind[e];
+      if (!fixed_node[static_cast<std::size_t>(i)] && !fixed_node[static_cast<std::size_t>(j)])
+        continue;
       double* blk = a.block(e);
       for (int r = 0; r < 3; ++r) {
         const std::size_t row = static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(r);
@@ -259,8 +302,7 @@ std::vector<std::vector<double>> apply_boundary_conditions_multi(
         }
       }
     }
-  }
-  for (int i = 0; i < a.n; ++i) {
+    if (!fixed_node[static_cast<std::size_t>(i)]) return;
     double* d = a.block(a.diag_entry(i));
     for (int r = 0; r < 3; ++r) {
       const std::size_t row = static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(r);
@@ -268,7 +310,7 @@ std::vector<std::vector<double>> apply_boundary_conditions_multi(
       if (d[3 * r + r] == 0.0) d[3 * r + r] = 1.0;
       for (std::size_t cc = 0; cc < k; ++cc) cols[cc][row] = d[3 * r + r] * fixval[row];
     }
-  }
+  });
   return cols;
 }
 

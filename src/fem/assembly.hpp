@@ -58,6 +58,9 @@ sparse::BlockCSR elasticity_pattern(const mesh::HexMesh& m);
 /// element couplings (elasticity_pattern). `materials` is indexed by element
 /// zone id (ids past the end use entry 0). Contributions are added in
 /// (element, a, b) order, so each entry sums its elements in element order.
+/// Runs on the caller's team (par::threads()), each thread adding into the
+/// rows of its own node range only, so the values are the same for every
+/// team size.
 void add_element_stiffness(const mesh::HexMesh& m, const std::vector<Material>& materials,
                            sparse::BlockCSR& a);
 
@@ -70,7 +73,8 @@ System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& 
 
 /// Apply loads to b and Dirichlet fixes to (a, b) by symmetric elimination:
 /// row/column zeroed, diagonal entry kept at its original scale, RHS adjusted
-/// so the fixed value is reproduced exactly. Preserves SPD.
+/// so the fixed value is reproduced exactly. Preserves SPD. The elimination
+/// runs one block row per iteration on the caller's team (par::threads()).
 void apply_boundary_conditions(System& sys, const BoundaryConditions& bc);
 
 /// Batched variant for the multi-RHS solve path (DESIGN.md §5k): ONE

@@ -44,6 +44,18 @@ Range static_range(std::size_t n, int parts, int part) {
   return {begin, begin + base + (t < extra ? 1 : 0)};
 }
 
+void LowestError::record(std::ptrdiff_t i, std::exception_ptr e) noexcept {
+  std::lock_guard lock(mtx_);
+  if (i < at_) {
+    at_ = i;
+    err_ = std::move(e);
+  }
+}
+
+void LowestError::rethrow() const {
+  if (err_) std::rethrow_exception(err_);
+}
+
 LevelSchedule schedule_from_levels(std::span<const int> level_of) {
   LevelSchedule s;
   int nlev = 0;

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
+#include <limits>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -99,6 +102,77 @@ struct Range {
 /// wants explicit ranges instead of an `omp for` (e.g. per-thread staging
 /// buffers).
 [[nodiscard]] Range static_range(std::size_t n, int parts, int part);
+
+// ---------------------------------------------------------------------------
+// Loops of independent iterations
+// ---------------------------------------------------------------------------
+
+/// The exceptions of a parallel loop's iterations. An exception must not
+/// leave an OpenMP region, so each iteration's is caught and recorded, and
+/// after the region the lowest iteration's is rethrown: the one the serial
+/// loop throws when the iterations are independent.
+class LowestError {
+ public:
+  /// Run f() as iteration i, recording what it throws.
+  template <class F>
+  void run(std::ptrdiff_t i, F&& f) noexcept {
+    try {
+      f();
+    } catch (...) {
+      record(i, std::current_exception());
+    }
+  }
+  /// Rethrow the lowest recorded iteration's exception; no-op if none.
+  void rethrow() const;
+
+ private:
+  void record(std::ptrdiff_t i, std::exception_ptr e) noexcept;
+  std::mutex mtx_;
+  std::ptrdiff_t at_ = std::numeric_limits<std::ptrdiff_t>::max();
+  std::exception_ptr err_;
+};
+
+/// body(state, i) for every i in [0, n) on up to `team` threads. `State` is
+/// default-constructed once per thread and handed to each iteration that
+/// thread runs (scratch reused across iterations). grain > 0 deals
+/// iterations round-robin in chunks of `grain` (uneven iterations); grain <=
+/// 0 gives each thread one contiguous range (even per-row work). Either way
+/// which thread runs an iteration depends only on n, team and grain, never
+/// on timing: an array an iteration allocates comes from that thread's
+/// malloc arena, and so lands in the same heap in every run. Iterations must
+/// write disjoint data and each run the serial loop's arithmetic; the
+/// result is then the serial loop's for every team size. A throwing
+/// iteration does not end the loop; the lowest throwing iteration's
+/// exception is rethrown after it (LowestError). With team <= 1 the loop
+/// runs serially in order and opens no region.
+template <class State, class Body>
+void parallel_for_with(std::ptrdiff_t n, int team, std::ptrdiff_t grain, Body&& body) {
+  if (team <= 1 || n <= 1) {
+    State st;
+    for (std::ptrdiff_t i = 0; i < n; ++i) body(st, i);
+    return;
+  }
+  LowestError err;
+#pragma omp parallel num_threads(team)
+  {
+    State st;
+    if (grain > 0) {
+#pragma omp for schedule(static, grain)
+      for (std::ptrdiff_t i = 0; i < n; ++i) err.run(i, [&] { body(st, i); });
+    } else {
+#pragma omp for schedule(static)
+      for (std::ptrdiff_t i = 0; i < n; ++i) err.run(i, [&] { body(st, i); });
+    }
+  }
+  err.rethrow();
+}
+
+/// parallel_for_with without per-thread state: body(i).
+template <class Body>
+void parallel_for(std::ptrdiff_t n, int team, std::ptrdiff_t grain, Body&& body) {
+  struct None {};
+  parallel_for_with<None>(n, team, grain, [&](None&, std::ptrdiff_t i) { body(i); });
+}
 
 // ---------------------------------------------------------------------------
 // Level schedules for triangular substitution

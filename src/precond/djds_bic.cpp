@@ -96,22 +96,24 @@ std::shared_ptr<const DJDSSymbolic> djds_symbolic(const sparse::BlockCSR& a,
 namespace {
 
 /// Pack the singleton runs of every chunk kLanes units a group, narrowing
-/// the 3x3 factors to the pack's precision.
+/// the 3x3 factors to the pack's precision; one chunk per iteration on the
+/// caller's team (each chunk's pack is its own).
 template <class T>
 std::vector<simd::PackedLU3T<T>> pack_singletons(const DJDSSymbolic& sym,
                                                  const std::vector<sparse::DenseLU>& lu) {
   constexpr int kL = simd::PackedLU3T<T>::kLanes;
   std::vector<simd::PackedLU3T<T>> packs(sym.chunks.size());
-  for (std::size_t ch = 0; ch < sym.chunks.size(); ++ch) {
-    for (const auto& run : sym.chunks[ch].runs) {
+  par::parallel_for(static_cast<std::ptrdiff_t>(packs.size()), par::threads(), 1,
+                    [&](std::ptrdiff_t ch) {
+    for (const auto& run : sym.chunks[static_cast<std::size_t>(ch)].runs) {
       for (int g = 0; g < run.size; g += kL) {
         const int cnt = std::min(kL, run.size - g);
         const sparse::DenseLU* lus[kL] = {};
         for (int l = 0; l < cnt; ++l) lus[l] = &lu[static_cast<std::size_t>(run.id + g + l)];
-        simd::pack_lu3_group(packs[ch], lus, cnt, run.start + g);
+        simd::pack_lu3_group(packs[static_cast<std::size_t>(ch)], lus, cnt, run.start + g);
       }
     }
-  }
+  });
   return packs;
 }
 

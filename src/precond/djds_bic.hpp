@@ -97,6 +97,8 @@ class DJDSBIC final : public Preconditioner {
 
   /// fp64 LU factor of every ordering unit, by unit id (ascending new row).
   [[nodiscard]] const std::vector<sparse::DenseLU>& unit_factors() const { return lu_; }
+  /// Packed singleton solves per chunk (kDouble; empty for kSingle).
+  [[nodiscard]] const std::vector<simd::PackedLU3>& singleton_packs() const { return chunk_lu3_; }
 
   /// Innermost vector-loop lengths of one apply() sweep (jagged loops plus
   /// same-size selective-block solve batches); structural, data-independent.

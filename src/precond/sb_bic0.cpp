@@ -159,86 +159,103 @@ std::shared_ptr<const SBSymbolic> sb_symbolic(const sparse::BlockCSR& a,
   return out;
 }
 
+namespace {
+
+/// Dense work arrays of the selective-block factorization, one set per
+/// thread, reused across its supernodes.
+struct FactorScratch {
+  std::vector<double> dwork, awork, twork, col;
+};
+
+/// dwork := A_SS of supernode s (dim x dim, zero outside the gathered blocks).
+void gather_intra(const sparse::BlockCSR& a, const SBSymbolic& sym, int s, int dim,
+                  std::vector<double>& dwork) {
+  dwork.assign(static_cast<std::size_t>(dim) * dim, 0.0);
+  for (std::int64_t q = sym.intra_ptr[static_cast<std::size_t>(s)];
+       q < sym.intra_ptr[static_cast<std::size_t>(s) + 1]; ++q) {
+    const double* blk = a.block(sym.intra_entry[static_cast<std::size_t>(q)]);
+    double* dst = dwork.data() + sym.intra_off[static_cast<std::size_t>(q)];
+    for (int r = 0; r < kB; ++r)
+      for (int c = 0; c < kB; ++c)
+        dst[static_cast<std::size_t>(r) * dim + static_cast<std::size_t>(c)] = blk[kB * r + c];
+  }
+}
+
+/// Factor supernode s into lu[s]. Reads lu[k] of the earlier neighbours K
+/// its corrections name (none unless sym.modified).
+void factor_unit(const sparse::BlockCSR& a, const SBSymbolic& sym, int s,
+                 std::vector<sparse::DenseLU>& lu, FactorScratch& w) {
+  auto& [dwork, awork, twork, col] = w;
+  const int dim = sym.dims[static_cast<std::size_t>(s)];
+  gather_intra(a, sym, s, dim, dwork);
+
+  // D~_S -= A_SK * D~_K^-1 * A_SK^T for each earlier neighbour K.
+  for (int ci = sym.coup_ptr[static_cast<std::size_t>(s)];
+       ci < sym.coup_ptr[static_cast<std::size_t>(s) + 1]; ++ci) {
+    const int k = sym.coup_k[static_cast<std::size_t>(ci)];
+    const int dimk = sym.dims[static_cast<std::size_t>(k)];
+    // dense A_SK (dim x dimk)
+    awork.assign(static_cast<std::size_t>(dim) * dimk, 0.0);
+    for (std::int64_t q = sym.gather_ptr[static_cast<std::size_t>(ci)];
+         q < sym.gather_ptr[static_cast<std::size_t>(ci) + 1]; ++q) {
+      const double* blk = a.block(sym.gather_entry[static_cast<std::size_t>(q)]);
+      double* dst = awork.data() + sym.gather_off[static_cast<std::size_t>(q)];
+      for (int r = 0; r < kB; ++r)
+        for (int c = 0; c < kB; ++c)
+          dst[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(c)] = blk[kB * r + c];
+    }
+    // T = D~_K^-1 * A_SK^T, column by column of A_SK^T (i.e. row of A_SK)
+    twork.assign(static_cast<std::size_t>(dimk) * dim, 0.0);
+    col.resize(static_cast<std::size_t>(dimk));
+    for (int r = 0; r < dim; ++r) {
+      for (int c = 0; c < dimk; ++c)
+        col[static_cast<std::size_t>(c)] = awork[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(c)];
+      lu[static_cast<std::size_t>(k)].solve(col.data());
+      for (int c = 0; c < dimk; ++c)
+        twork[static_cast<std::size_t>(c) * dim + static_cast<std::size_t>(r)] = col[static_cast<std::size_t>(c)];
+    }
+    // D~_S -= A_SK * T
+    for (int r = 0; r < dim; ++r)
+      for (int c = 0; c < dim; ++c) {
+        double acc = 0.0;
+        for (int q = 0; q < dimk; ++q)
+          acc += awork[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(q)] *
+                 twork[static_cast<std::size_t>(q) * dim + static_cast<std::size_t>(c)];
+        dwork[static_cast<std::size_t>(r) * dim + static_cast<std::size_t>(c)] -= acc;
+      }
+  }
+
+  // Over-subtraction / breakdown remedy: if the corrected block is no
+  // longer SPD (which would make M indefinite and break CG) or fails to
+  // factor, retry with the uncorrected diagonal block A_SS.
+  if (!sparse::is_spd(dwork.data(), dim) ||
+      !lu[static_cast<std::size_t>(s)].factor(dwork.data(), dim)) {
+    gather_intra(a, sym, s, dim, dwork);
+    if (!lu[static_cast<std::size_t>(s)].factor(dwork.data(), dim))
+      throw Error(StatusCode::kFactorizationFailed, "SB-BIC(0): singular selective block");
+  }
+}
+
+}  // namespace
+
 std::vector<sparse::DenseLU> sb_factor_numeric(const sparse::BlockCSR& a, const SBSymbolic& sym) {
   GEOFEM_CHECK(sym.n == a.n, "SB-BIC(0): symbolic/matrix size mismatch");
   obs::ScopedSpan span("precond.numeric.SB-BIC(0)");
   const int ns = static_cast<int>(sym.dims.size());
-  std::vector<sparse::DenseLU> lu_(static_cast<std::size_t>(ns));
+  std::vector<sparse::DenseLU> lu(static_cast<std::size_t>(ns));
 
-  // Factor supernodes in ascending id order with BIC(0)-style diagonal
-  // corrections restricted to the original inter-supernode pattern. The
-  // scatter order and correction order follow the schedule, which preserves
-  // the cold factorization's arithmetic exactly.
-  std::vector<double> dwork, awork, twork, col;
-  for (int s = 0; s < ns; ++s) {
-    const int dim = sym.dims[static_cast<std::size_t>(s)];
-    dwork.assign(static_cast<std::size_t>(dim) * dim, 0.0);
-
-    // Gather A_SS.
-    for (std::int64_t q = sym.intra_ptr[static_cast<std::size_t>(s)];
-         q < sym.intra_ptr[static_cast<std::size_t>(s) + 1]; ++q) {
-      const double* blk = a.block(sym.intra_entry[static_cast<std::size_t>(q)]);
-      double* dst = dwork.data() + sym.intra_off[static_cast<std::size_t>(q)];
-      for (int r = 0; r < kB; ++r)
-        for (int c = 0; c < kB; ++c)
-          dst[static_cast<std::size_t>(r) * dim + static_cast<std::size_t>(c)] = blk[kB * r + c];
-    }
-
-    // D~_S -= A_SK * D~_K^-1 * A_SK^T for each earlier neighbour K.
-    for (int ci = sym.coup_ptr[static_cast<std::size_t>(s)];
-         ci < sym.coup_ptr[static_cast<std::size_t>(s) + 1]; ++ci) {
-      const int k = sym.coup_k[static_cast<std::size_t>(ci)];
-      const int dimk = sym.dims[static_cast<std::size_t>(k)];
-      // dense A_SK (dim x dimk)
-      awork.assign(static_cast<std::size_t>(dim) * dimk, 0.0);
-      for (std::int64_t q = sym.gather_ptr[static_cast<std::size_t>(ci)];
-           q < sym.gather_ptr[static_cast<std::size_t>(ci) + 1]; ++q) {
-        const double* blk = a.block(sym.gather_entry[static_cast<std::size_t>(q)]);
-        double* dst = awork.data() + sym.gather_off[static_cast<std::size_t>(q)];
-        for (int r = 0; r < kB; ++r)
-          for (int c = 0; c < kB; ++c)
-            dst[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(c)] = blk[kB * r + c];
-      }
-      // T = D~_K^-1 * A_SK^T, column by column of A_SK^T (i.e. row of A_SK)
-      twork.assign(static_cast<std::size_t>(dimk) * dim, 0.0);
-      col.resize(static_cast<std::size_t>(dimk));
-      for (int r = 0; r < dim; ++r) {
-        for (int c = 0; c < dimk; ++c)
-          col[static_cast<std::size_t>(c)] = awork[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(c)];
-        lu_[static_cast<std::size_t>(k)].solve(col.data());
-        for (int c = 0; c < dimk; ++c)
-          twork[static_cast<std::size_t>(c) * dim + static_cast<std::size_t>(r)] = col[static_cast<std::size_t>(c)];
-      }
-      // D~_S -= A_SK * T
-      for (int r = 0; r < dim; ++r)
-        for (int c = 0; c < dim; ++c) {
-          double acc = 0.0;
-          for (int q = 0; q < dimk; ++q)
-            acc += awork[static_cast<std::size_t>(r) * dimk + static_cast<std::size_t>(q)] *
-                   twork[static_cast<std::size_t>(q) * dim + static_cast<std::size_t>(c)];
-          dwork[static_cast<std::size_t>(r) * dim + static_cast<std::size_t>(c)] -= acc;
-        }
-    }
-
-    // Over-subtraction / breakdown remedy: if the corrected block is no
-    // longer SPD (which would make M indefinite and break CG) or fails to
-    // factor, retry with the uncorrected diagonal block A_SS.
-    if (!sparse::is_spd(dwork.data(), dim) ||
-        !lu_[static_cast<std::size_t>(s)].factor(dwork.data(), dim)) {
-      dwork.assign(static_cast<std::size_t>(dim) * dim, 0.0);
-      for (std::int64_t q = sym.intra_ptr[static_cast<std::size_t>(s)];
-           q < sym.intra_ptr[static_cast<std::size_t>(s) + 1]; ++q) {
-        const double* blk = a.block(sym.intra_entry[static_cast<std::size_t>(q)]);
-        double* dst = dwork.data() + sym.intra_off[static_cast<std::size_t>(q)];
-        for (int r = 0; r < kB; ++r)
-          for (int c = 0; c < kB; ++c)
-            dst[static_cast<std::size_t>(r) * dim + static_cast<std::size_t>(c)] = blk[kB * r + c];
-      }
-      if (!lu_[static_cast<std::size_t>(s)].factor(dwork.data(), dim))
-        throw Error(StatusCode::kFactorizationFailed, "SB-BIC(0): singular selective block");
-    }
-  }
-  return lu_;
+  // Supernodes in ascending id order with BIC(0)-style diagonal corrections
+  // restricted to the original inter-supernode pattern; the scatter and
+  // correction orders follow the schedule. Without corrections every
+  // supernode reads only its own blocks, so the supernodes run on the
+  // caller's team, each with the serial arithmetic, and a singular one
+  // raises the serial loop's error: the lowest singular supernode's. The
+  // corrections read earlier factors, so the modified form stays serial.
+  par::parallel_for_with<FactorScratch>(ns, sym.modified ? 1 : par::threads(), 32,
+                                        [&](FactorScratch& w, std::ptrdiff_t s) {
+                                          factor_unit(a, sym, static_cast<int>(s), lu, w);
+                                        });
+  return lu;
 }
 
 std::vector<sparse::DenseLU> sb_factor_diagonals(const sparse::BlockCSR& a,

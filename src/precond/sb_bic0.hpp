@@ -45,7 +45,10 @@ struct SBSymbolic {
                                                             bool modified = false);
 
 /// Numeric phase: factor the selective-block diagonals on a precomputed
-/// schedule. Produces bit-identical factors to sb_factor_diagonals.
+/// schedule. Produces bit-identical factors to sb_factor_diagonals. Without
+/// the modified corrections every block is factored on its own, on the
+/// caller's team (par::threads()), to the same bits for every team size; a
+/// singular block throws Error(kFactorizationFailed) from the calling thread.
 [[nodiscard]] std::vector<sparse::DenseLU> sb_factor_numeric(const sparse::BlockCSR& a,
                                                              const SBSymbolic& sym);
 

@@ -110,55 +110,38 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
     GEOFEM_CHECK(pos == n_, "ordering did not cover all rows");
   }
 
-  // ---- 4. Diagonal blocks in new order ------------------------------------
-  diag_.resize(static_cast<std::size_t>(n_) * sparse::kBB);
-  for (int i = 0; i < n_; ++i) {
-    const int old = iperm_[static_cast<std::size_t>(i)];
-    const double* src = a.block(a.diag_entry(old));
-    std::copy(src, src + sparse::kBB, diag_.data() + static_cast<std::size_t>(i) * sparse::kBB);
-  }
-
   std::sort(super_ranges_.begin(), super_ranges_.end(),
             [](const SuperRange& x, const SuperRange& y) { return x.start < y.start; });
-
-  // ---- 5. Supernode dense blocks & row->range map --------------------------
   range_of_row_.assign(static_cast<std::size_t>(n_), -1);
   for (std::size_t r = 0; r < super_ranges_.size(); ++r)
     for (int t = 0; t < super_ranges_[r].size; ++t)
       range_of_row_[static_cast<std::size_t>(super_ranges_[r].start + t)] = static_cast<int>(r);
+
+  // ---- 4-5. Diagonal blocks in new order, supernode dense blocks ---------
+  // Steps 4-6 run on the caller's team: each row, supernode range or chunk
+  // is one iteration that writes only its own arrays, with the serial
+  // arithmetic, so the layout is the same for every team size.
+  const int team = par::threads();
+  diag_.resize(static_cast<std::size_t>(n_) * sparse::kBB);
   super_dense_.resize(super_ranges_.size());
-  for (std::size_t r = 0; r < super_ranges_.size(); ++r) {
-    const auto& sr = super_ranges_[r];
-    const int dim = sparse::kB * sr.size;
-    auto& dense = super_dense_[r];
-    dense.assign(static_cast<std::size_t>(dim) * dim, 0.0);
-    for (int t = 0; t < sr.size; ++t) {
-      const int old = iperm_[static_cast<std::size_t>(sr.start + t)];
-      for (int e = a.rowptr[old]; e < a.rowptr[old + 1]; ++e) {
-        const int jn = perm_[static_cast<std::size_t>(a.colind[e])];
-        if (jn < sr.start || jn >= sr.start + sr.size) continue;
-        const int tj = jn - sr.start;
-        const double* blk = a.block(e);
-        for (int br = 0; br < sparse::kB; ++br)
-          for (int bc = 0; bc < sparse::kB; ++bc)
-            dense[static_cast<std::size_t>(sparse::kB * t + br) * dim +
-                  static_cast<std::size_t>(sparse::kB * tj + bc)] = blk[sparse::kB * br + bc];
-      }
-    }
-  }
+  gather_blocks(a, team);
 
   // ---- 6. Jagged diagonal parts per chunk ----------------------------------
   const int nchunks = ncolors_ * opt_.npe;
   lower_.resize(static_cast<std::size_t>(nchunks));
   upper_.resize(static_cast<std::size_t>(nchunks));
 
-  // Staging for one chunk's rows, reused across chunks: each row gets a
-  // slice as long as its CSR row; its lower-part (new column, source entry)
-  // pairs fill the slice from the front (lo_at, lo_len), its upper-part pairs
-  // from the back (up_at moves down as they arrive, up_len).
-  std::vector<int> lo_at, lo_len, up_at, up_len, plen;
-  std::vector<std::pair<int, int>> stage;
-  for (int ch = 0; ch < nchunks; ++ch) {
+  // Staging for one chunk's rows, one set per thread reused across its
+  // chunks: each row gets a slice as long as its CSR row; its lower-part
+  // (new column, source entry) pairs fill the slice from the front (lo_at,
+  // lo_len), its upper-part pairs from the back (up_at moves down as they
+  // arrive, up_len).
+  struct Staging {
+    std::vector<int> lo_at, lo_len, up_at, up_len, plen;
+    std::vector<std::pair<int, int>> stage;
+  };
+  par::parallel_for_with<Staging>(nchunks, team, 1, [&](Staging& st, std::ptrdiff_t ch) {
+    auto& [lo_at, lo_len, up_at, up_len, plen, stage] = st;
     const int begin = chunk_begin_[static_cast<std::size_t>(ch)];
     const int count = chunk_begin_[static_cast<std::size_t>(ch) + 1] - begin;
     const auto ucount = static_cast<std::size_t>(count);
@@ -241,11 +224,11 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
     };
     build(lo_at, lo_len, lower_[static_cast<std::size_t>(ch)]);
     build(up_at, up_len, upper_[static_cast<std::size_t>(ch)]);
-  }
+  });
 
   // ---- 7. Per-sweep loop pattern and entry count -------------------------
   // Structure only, so refill keeps them valid and spmv/spmm add them
-  // without walking the chunks.
+  // without walking the chunks. Serial: the histogram is one shared object.
   sweep_entries_ = static_cast<std::uint64_t>(n_);
   for (const auto& sr : super_ranges_)
     sweep_entries_ +=
@@ -259,31 +242,21 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
     }
   }
 
-  pack_simd();
+  pack_simd(team);
 }
 
-void DJDSMatrix::pack_simd() {
-#if GEOFEM_SIMD_HAS_AVX2
-  for (auto* parts : {&lower_, &upper_})
-    for (Jagged& p : *parts) simd::pack_jagged(p.jd_ptr, p.item, p.val.data(), p.packed);
-  simd::pack_blocks(diag_.data(), n_, packed_diag_);
-#endif
-}
-
-void DJDSMatrix::refill(const sparse::BlockCSR& a) {
-  GEOFEM_CHECK(a.n == n_, "DJDSMatrix::refill: matrix size mismatch");
-  // Diagonal blocks.
-  for (int i = 0; i < n_; ++i) {
+void DJDSMatrix::gather_blocks(const sparse::BlockCSR& a, int team) {
+  par::parallel_for(n_, team, 0, [&](std::ptrdiff_t i) {
     const int old = iperm_[static_cast<std::size_t>(i)];
     const double* src = a.block(a.diag_entry(old));
     std::copy(src, src + sparse::kBB, diag_.data() + static_cast<std::size_t>(i) * sparse::kBB);
-  }
-  // Dense supernode blocks (same gather as the constructor).
-  for (std::size_t r = 0; r < super_ranges_.size(); ++r) {
-    const auto& sr = super_ranges_[r];
+  });
+  par::parallel_for(static_cast<std::ptrdiff_t>(super_ranges_.size()), team, 0,
+                    [&](std::ptrdiff_t r) {
+    const auto& sr = super_ranges_[static_cast<std::size_t>(r)];
     const int dim = sparse::kB * sr.size;
-    auto& dense = super_dense_[r];
-    std::fill(dense.begin(), dense.end(), 0.0);
+    auto& dense = super_dense_[static_cast<std::size_t>(r)];
+    dense.assign(static_cast<std::size_t>(dim) * dim, 0.0);
     for (int t = 0; t < sr.size; ++t) {
       const int old = iperm_[static_cast<std::size_t>(sr.start + t)];
       for (int e = a.rowptr[old]; e < a.rowptr[old + 1]; ++e) {
@@ -297,19 +270,37 @@ void DJDSMatrix::refill(const sparse::BlockCSR& a) {
                   static_cast<std::size_t>(sparse::kB * tj + bc)] = blk[sparse::kB * br + bc];
       }
     }
-  }
-  // Jagged entries; dummies carry a zero block and never change.
-  for (auto* parts : {&lower_, &upper_}) {
-    for (Jagged& p : *parts) {
-      for (std::size_t t = 0; t < p.src.size(); ++t) {
-        if (p.src[t] < 0) continue;
-        const double* src = a.block(p.src[t]);
-        std::copy(src, src + sparse::kBB, p.val.data() + t * sparse::kBB);
-      }
-    }
-  }
+  });
+}
 
-  pack_simd();
+void DJDSMatrix::pack_simd(int team) {
+#if GEOFEM_SIMD_HAS_AVX2
+  par::parallel_for(static_cast<std::ptrdiff_t>(lower_.size()), team, 1, [&](std::ptrdiff_t ch) {
+    for (Jagged* p : {&lower_[static_cast<std::size_t>(ch)], &upper_[static_cast<std::size_t>(ch)]})
+      simd::pack_jagged(p->jd_ptr, p->item, p->val.data(), p->packed);
+  });
+  simd::pack_blocks(diag_.data(), n_, packed_diag_);
+#else
+  (void)team;
+#endif
+}
+
+void DJDSMatrix::refill(const sparse::BlockCSR& a) {
+  GEOFEM_CHECK(a.n == n_, "DJDSMatrix::refill: matrix size mismatch");
+  // The constructor's gathers on the caller's team: diagonal and dense
+  // supernode blocks, then the jagged entries chunk by chunk (dummies carry
+  // a zero block and never change).
+  const int team = par::threads();
+  gather_blocks(a, team);
+  par::parallel_for(static_cast<std::ptrdiff_t>(lower_.size()), team, 1, [&](std::ptrdiff_t ch) {
+    for (Jagged* p : {&lower_[static_cast<std::size_t>(ch)], &upper_[static_cast<std::size_t>(ch)]})
+      for (std::size_t t = 0; t < p->src.size(); ++t) {
+        if (p->src[t] < 0) continue;
+        const double* src = a.block(p->src[t]);
+        std::copy(src, src + sparse::kBB, p->val.data() + t * sparse::kBB);
+      }
+  });
+  pack_simd(team);
 }
 
 void DJDSMatrix::spmv(std::span<const double> x, std::span<double> y, util::FlopCounter* flops,

@@ -50,7 +50,9 @@ class DJDSMatrix {
  public:
   /// Build from a symmetric BlockCSR and a coloring of its rows. If
   /// `supernodes` is non-null, members of each supernode must share a color
-  /// (use quotient_graph + lift_coloring) and are kept consecutive.
+  /// (use quotient_graph + lift_coloring) and are kept consecutive. The
+  /// value gathers and the per-chunk jagged build run on the caller's team
+  /// (par::threads()); the result is the same for every team size.
   DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
              const contact::Supernodes* supernodes, const DJDSOptions& opt);
 
@@ -98,7 +100,8 @@ class DJDSMatrix {
   /// Re-gather all numeric values (diagonals, dense supernode blocks, jagged
   /// entries) from `a`, which must have the graph this layout was built from.
   /// The permutation, chunk layout, and jagged structure are untouched — this
-  /// is the numeric half of the PDJDS set-up, used for plan reuse.
+  /// is the numeric half of the PDJDS set-up, used for plan reuse. Runs on
+  /// the caller's team, like the constructor's gathers.
   void refill(const sparse::BlockCSR& a);
 
   /// y = A x in the new ordering (x, y indexed by new ids). Adds the
@@ -127,9 +130,13 @@ class DJDSMatrix {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  /// (Re)build the packed SIMD mirrors after structure or values change.
-  /// No-op outside AVX2 builds.
-  void pack_simd();
+  /// Copy the diagonal blocks and the dense supernode blocks (zeroed first)
+  /// from `a`, one row / range per iteration on `team` threads.
+  void gather_blocks(const sparse::BlockCSR& a, int team);
+
+  /// (Re)build the packed SIMD mirrors after structure or values change,
+  /// one chunk per iteration on `team` threads. No-op outside AVX2 builds.
+  void pack_simd(int team);
 
   int n_ = 0;
   int ncolors_ = 0;

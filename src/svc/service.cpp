@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "contact/penalty.hpp"
+#include "par/par.hpp"
 #include "util/timer.hpp"
 
 namespace geofem::svc {
@@ -212,6 +213,10 @@ void SolverService::worker_main(int wid) {
   // and the plan cache's hit/miss counters land in it. solve_system nests its
   // own Attach of the same registry via SolveConfig::registry.
   obs::Attach attach(&registry_);
+  // The per-dispatch copy, penalty and boundary conditions run outside the
+  // solve's own team scope; size them by the solve's team too, so a worker
+  // never opens a wider team than its solves.
+  par::TeamScope team(opt_.solve.threads);
   plan::PlanCache* cache =
       worker_caches_.empty() ? &cache_ : worker_caches_[static_cast<std::size_t>(wid)].get();
   // Per-worker scratch for the request-path copies (matrix values, RHS):

@@ -4,7 +4,11 @@
 // algorithms they replaced (per-row pair lists with sort/unique, a binary
 // search per scattered block, the element kernel with the Gauss-point loop
 // outermost, per-row vectors for the jagged build). Any difference in a value
-// can move the recorded iteration counts, so equality here is bitwise.
+// can move the recorded iteration counts, so equality here is bitwise. The
+// set-up runs on the caller's team (par::TeamScope), so the reference
+// comparisons run at teams 1-4, and the numeric set-up (DJDS values, unit
+// factors, singleton packs) is compared across teams, including the A_SS
+// fallback and the typed error of a singular selective block.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +24,15 @@
 #include <vector>
 
 #include "contact/penalty.hpp"
+#include "core/status.hpp"
 #include "fem/assembly.hpp"
 #include "fem/elasticity.hpp"
 #include "mesh/simple_block.hpp"
 #include "mesh/southwest_japan.hpp"
+#include "par/par.hpp"
+#include "plan/plan.hpp"
+#include "precond/djds_bic.hpp"
+#include "precond/sb_bic0.hpp"
 #include "reorder/coloring.hpp"
 #include "reorder/djds.hpp"
 #include "sparse/block_csr.hpp"
@@ -31,6 +40,7 @@
 namespace gc = geofem::contact;
 namespace gf = geofem::fem;
 namespace gm = geofem::mesh;
+namespace gp = geofem::precond;
 namespace gr = geofem::reorder;
 namespace gs = geofem::sparse;
 
@@ -245,6 +255,53 @@ gs::Graph quotient_graph(const gs::Graph& g, const std::vector<int>& vertex_to_s
   return q;
 }
 
+/// Symmetric elimination visiting every stored scalar, with k load scales
+/// (k = 0: the single-RHS form on sys.b). Returns the right-hand sides.
+std::vector<std::vector<double>> apply_bcs(gf::System& sys, const gf::BoundaryConditions& bc,
+                                           const std::vector<double>& scales) {
+  auto& a = sys.a;
+  const bool single = scales.empty();
+  const std::size_t k = single ? 1 : scales.size();
+  std::vector<std::vector<double>> cols(k, sys.b);
+  for (std::size_t c = 0; c < k; ++c)
+    for (const auto& l : bc.loads)
+      cols[c][static_cast<std::size_t>(l.node) * 3 + static_cast<std::size_t>(l.comp)] +=
+          single ? l.value : l.value * scales[c];
+  std::vector<char> fixed(a.ndof(), 0);
+  std::vector<double> fixval(a.ndof(), 0.0);
+  for (const auto& f : bc.fixes) {
+    const std::size_t d = static_cast<std::size_t>(f.node) * 3 + static_cast<std::size_t>(f.comp);
+    fixed[d] = 1;
+    fixval[d] = f.value;
+  }
+  for (int i = 0; i < a.n; ++i)
+    for (int e = a.rowptr[static_cast<std::size_t>(i)];
+         e < a.rowptr[static_cast<std::size_t>(i) + 1]; ++e) {
+      const int j = a.colind[static_cast<std::size_t>(e)];
+      double* blk = a.block(e);
+      for (int r = 0; r < 3; ++r)
+        for (int c = 0; c < 3; ++c) {
+          const std::size_t row = static_cast<std::size_t>(3 * i + r);
+          const std::size_t col = static_cast<std::size_t>(3 * j + c);
+          double& v = blk[3 * r + c];
+          if (row == col) continue;
+          if (fixed[col] && !fixed[row])
+            for (auto& b : cols) b[row] -= v * fixval[col];
+          if (fixed[row] || fixed[col]) v = 0.0;
+        }
+    }
+  for (int i = 0; i < a.n; ++i) {
+    double* d = a.block(a.diag_entry(i));
+    for (int r = 0; r < 3; ++r) {
+      const std::size_t row = static_cast<std::size_t>(3 * i + r);
+      if (!fixed[row]) continue;
+      if (d[3 * r + r] == 0.0) d[3 * r + r] = 1.0;
+      for (auto& b : cols) b[row] = d[3 * r + r] * fixval[row];
+    }
+  }
+  return cols;
+}
+
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -271,6 +328,9 @@ std::vector<Model> assembly_models() {
           {"block_6_6_4_6_6", gm::simple_block({6, 6, 4, 6, 6}), {{1.0, 0.3}}}};
 }
 
+/// Team sizes every set-up comparison runs at.
+constexpr int kTeams[] = {1, 2, 3, 4};
+
 template <class T, class A1, class A2>
 bool same_bits(const std::vector<T, A1>& x, const std::vector<T, A2>& y) {
   return x.size() == y.size() &&
@@ -296,15 +356,19 @@ TEST(Setup, ElementMatricesBitIdentical) {
 
 TEST(Setup, AssembledMatrixBitIdentical) {
   for (const Model& md : assembly_models()) {
-    const gf::System sys = gf::assemble_elasticity(md.mesh, md.materials);
     const gs::BlockCSR want = ref::assemble(md.mesh, md.materials);
-    EXPECT_EQ(sys.a.n, want.n) << md.name;
-    EXPECT_TRUE(same_bits(sys.a.rowptr, want.rowptr)) << md.name;
-    EXPECT_TRUE(same_bits(sys.a.colind, want.colind)) << md.name;
-    EXPECT_TRUE(same_bits(sys.a.val, want.val)) << md.name;
-    // Exact-size arrays: no slack left from an over-reserved build.
-    EXPECT_EQ(sys.a.colind.capacity(), sys.a.colind.size()) << md.name;
-    EXPECT_EQ(sys.b.size(), sys.a.ndof()) << md.name;
+    for (int team : kTeams) {
+      geofem::par::TeamScope scope(team);
+      const std::string cfg = md.name + " team=" + std::to_string(team);
+      const gf::System sys = gf::assemble_elasticity(md.mesh, md.materials);
+      EXPECT_EQ(sys.a.n, want.n) << cfg;
+      EXPECT_TRUE(same_bits(sys.a.rowptr, want.rowptr)) << cfg;
+      EXPECT_TRUE(same_bits(sys.a.colind, want.colind)) << cfg;
+      EXPECT_TRUE(same_bits(sys.a.val, want.val)) << cfg;
+      // Exact-size arrays: no slack left from an over-reserved build.
+      EXPECT_EQ(sys.a.colind.capacity(), sys.a.colind.size()) << cfg;
+      EXPECT_EQ(sys.b.size(), sys.a.ndof()) << cfg;
+    }
   }
 }
 
@@ -321,7 +385,8 @@ TEST(Setup, QuotientGraphBitIdentical) {
   }
 }
 
-// 2 meshes x colors {5, 20, 40} x npe {1, 3, 8} x supernodes on/off.
+// 2 meshes x colors {5, 20, 40} x npe {1, 3, 8} x supernodes on/off, each
+// built at teams 1-4.
 TEST(Setup, DJDSJaggedArraysBitIdentical) {
   const std::vector<Model> models = {{"swjapan_8x6", swjapan(8, 6), {{1.0, 0.3}}},
                                      {"block_6_6_4_6_6", gm::simple_block({6, 6, 4, 6, 6}),
@@ -341,47 +406,268 @@ TEST(Setup, DJDSJaggedArraysBitIdentical) {
                         : gr::multicolor(g, colors);
           gr::DJDSOptions opt;
           opt.npe = npe;
-          const gr::DJDSMatrix dj(sys.a, coloring, selective ? &sn : nullptr, opt);
-          const std::string cfg = md.name + " colors=" + std::to_string(colors) +
-                                  " npe=" + std::to_string(npe) +
-                                  " supernodes=" + std::to_string(selective);
-          std::int64_t jd_total = 0, jd_count = 0;
-          std::ptrdiff_t byte_delta = 0;
-          auto jagged_bytes = [](const gr::Jagged& p) {
-            return static_cast<std::ptrdiff_t>(p.val.size() * sizeof(double) +
-                                               (p.item.size() + p.src.size() + p.jd_ptr.size()) *
-                                                   sizeof(int));
-          };
-          const int nchunks = dj.num_colors() * npe;
-          for (int ch = 0; ch < nchunks; ++ch) {
-            const auto [lo, up] = ref::jagged(sys.a, dj, ch);
-            for (const auto& [got, want] : {std::pair{&dj.lower(ch), &lo},
-                                            std::pair{&dj.upper(ch), &up}}) {
-              ASSERT_TRUE(same_bits(got->jd_ptr, want->jd_ptr)) << cfg << " chunk " << ch;
-              ASSERT_TRUE(same_bits(got->item, want->item)) << cfg << " chunk " << ch;
-              ASSERT_TRUE(same_bits(got->src, want->src)) << cfg << " chunk " << ch;
-              ASSERT_TRUE(same_bits(got->val, want->val)) << cfg << " chunk " << ch;
-              ASSERT_EQ(got->dummies, want->dummies) << cfg << " chunk " << ch;
-              EXPECT_EQ(got->val.capacity(), got->val.size()) << cfg << " chunk " << ch;
-              for (int j = 0; j < want->num_jd(); ++j) {
-                jd_total += want->jd_ptr[static_cast<std::size_t>(j) + 1] -
-                            want->jd_ptr[static_cast<std::size_t>(j)];
-                ++jd_count;
+          for (int team : kTeams) {
+            geofem::par::TeamScope scope(team);
+            const gr::DJDSMatrix dj(sys.a, coloring, selective ? &sn : nullptr, opt);
+            const std::string cfg = md.name + " colors=" + std::to_string(colors) +
+                                    " npe=" + std::to_string(npe) +
+                                    " supernodes=" + std::to_string(selective) +
+                                    " team=" + std::to_string(team);
+            std::int64_t jd_total = 0, jd_count = 0;
+            std::ptrdiff_t byte_delta = 0;
+            auto jagged_bytes = [](const gr::Jagged& p) {
+              return static_cast<std::ptrdiff_t>(p.val.size() * sizeof(double) +
+                                                 (p.item.size() + p.src.size() + p.jd_ptr.size()) *
+                                                     sizeof(int));
+            };
+            const int nchunks = dj.num_colors() * npe;
+            for (int ch = 0; ch < nchunks; ++ch) {
+              const auto [lo, up] = ref::jagged(sys.a, dj, ch);
+              for (const auto& [got, want] : {std::pair{&dj.lower(ch), &lo},
+                                              std::pair{&dj.upper(ch), &up}}) {
+                ASSERT_TRUE(same_bits(got->jd_ptr, want->jd_ptr)) << cfg << " chunk " << ch;
+                ASSERT_TRUE(same_bits(got->item, want->item)) << cfg << " chunk " << ch;
+                ASSERT_TRUE(same_bits(got->src, want->src)) << cfg << " chunk " << ch;
+                ASSERT_TRUE(same_bits(got->val, want->val)) << cfg << " chunk " << ch;
+                ASSERT_EQ(got->dummies, want->dummies) << cfg << " chunk " << ch;
+                EXPECT_EQ(got->val.capacity(), got->val.size()) << cfg << " chunk " << ch;
+                for (int j = 0; j < want->num_jd(); ++j) {
+                  jd_total += want->jd_ptr[static_cast<std::size_t>(j) + 1] -
+                              want->jd_ptr[static_cast<std::size_t>(j)];
+                  ++jd_count;
+                }
+                byte_delta += jagged_bytes(*want) - jagged_bytes(*got);
               }
-              byte_delta += jagged_bytes(*want) - jagged_bytes(*got);
             }
+            // The statistics read the same structure: the average loop length
+            // of the reference jagged diagonals, and the byte count with the
+            // reference jagged arrays in place of the built ones.
+            const double avg =
+                jd_count == 0 ? 0.0 : static_cast<double>(jd_total) / static_cast<double>(jd_count);
+            EXPECT_EQ(dj.average_vector_length(), avg) << cfg;
+            EXPECT_EQ(byte_delta, 0) << cfg << " memory_bytes " << dj.memory_bytes();
           }
-          // The statistics read the same structure: the average loop length
-          // of the reference jagged diagonals, and the byte count with the
-          // reference jagged arrays in place of the built ones.
-          const double avg =
-              jd_count == 0 ? 0.0 : static_cast<double>(jd_total) / static_cast<double>(jd_count);
-          EXPECT_EQ(dj.average_vector_length(), avg) << cfg;
-          EXPECT_EQ(byte_delta, 0) << cfg << " memory_bytes " << dj.memory_bytes();
           ++configs;
         }
   }
   EXPECT_EQ(configs, 36);
+}
+
+// Penalty + boundary conditions on two models (body force and a bottom
+// fixed on the Southwest-Japan mesh; a surface load, three symmetry planes
+// and one nonzero prescribed value on the block), single- and multi-RHS, at
+// teams 1-4, against the elimination that visits every stored scalar.
+TEST(Setup, BoundaryConditionsBitIdentical) {
+  const std::vector<Model> models = {{"swjapan_8x6", swjapan(8, 6), {{1.0, 0.3}}},
+                                     {"block_6_6_4_6_6", gm::simple_block({6, 6, 4, 6, 6}),
+                                      {{1.0, 0.3}}}};
+  for (const Model& md : models) {
+    gf::System base = gf::assemble_elasticity(md.mesh, md.materials);
+    gc::add_penalty(base.a, md.mesh.contact_groups, 1e6);
+    gf::BoundaryConditions bc;
+    const auto box = md.mesh.bounding_box();
+    if (md.name == "swjapan_8x6") {
+      bc.fix_nodes(md.mesh.nodes_where([&](double, double, double z) {
+        return z < box.lo[2] + 1e-9;
+      }), -1);
+      bc.body_force(md.mesh, 2, -1.0);
+    } else {
+      bc.fix_nodes(md.mesh.nodes_where([](double, double, double z) { return z == 0.0; }), -1);
+      bc.fix_nodes(md.mesh.nodes_where([](double x, double, double) { return x == 0.0; }), 0);
+      bc.fix_nodes(md.mesh.nodes_where([](double, double y, double) { return y == 0.0; }), 1);
+      bc.surface_load(md.mesh, [&](double, double, double z) {
+        return std::abs(z - box.hi[2]) < 1e-9;
+      }, 2, -1.0);
+    }
+    bc.fixes.push_back({md.mesh.num_nodes() / 2, 1, 0.25});
+    const std::vector<double> scales = {1.0, 0.5, 2.0};
+    gf::System want = base, want_multi = base;
+    const auto want_b = ref::apply_bcs(want, bc, {});
+    const auto want_cols = ref::apply_bcs(want_multi, bc, scales);
+    for (int team : kTeams) {
+      geofem::par::TeamScope scope(team);
+      const std::string cfg = md.name + " team=" + std::to_string(team);
+      gf::System got = base, got_multi = base;
+      gf::apply_boundary_conditions(got, bc);
+      const auto cols = gf::apply_boundary_conditions_multi(got_multi, bc, scales);
+      EXPECT_TRUE(same_bits(got.a.val, want.a.val)) << cfg;
+      EXPECT_TRUE(same_bits(got.b, want_b[0])) << cfg;
+      EXPECT_TRUE(same_bits(got_multi.a.val, want_multi.a.val)) << cfg;
+      ASSERT_EQ(cols.size(), want_cols.size()) << cfg;
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        EXPECT_TRUE(same_bits(cols[c], want_cols[c])) << cfg << " column " << c;
+    }
+  }
+}
+
+/// Every value a numeric set-up produced, gathered for one memcmp.
+struct Bits {
+  std::vector<double> d;
+  std::vector<int> i;
+  void add(const double* p, std::size_t n) { d.insert(d.end(), p, p + n); }
+  void add(const std::vector<int>& v) { i.insert(i.end(), v.begin(), v.end()); }
+};
+
+void add_factors(Bits& b, const std::vector<gs::DenseLU>& lus) {
+  for (const auto& lu : lus) {
+    const auto n = static_cast<std::size_t>(lu.size());
+    b.add(lu.factor(), n * n);
+    b.add(lu.pivots());
+  }
+}
+
+/// The DJDS values a refill rewrites: diagonal, dense supernode and jagged
+/// blocks.
+void add_djds(Bits& b, const gr::DJDSMatrix& dj) {
+  b.add(dj.diag(0), static_cast<std::size_t>(dj.n()) * gs::kBB);
+  for (std::size_t r = 0; r < dj.super_ranges().size(); ++r) {
+    const auto& dense = dj.super_dense(static_cast<int>(r));
+    b.add(dense.data(), dense.size());
+  }
+  for (int ch = 0; ch < dj.num_colors() * dj.npe(); ++ch)
+    for (const gr::Jagged* p : {&dj.lower(ch), &dj.upper(ch)}) b.add(p->val.data(), p->val.size());
+}
+
+/// A copy of base.a with the contact groups of `m` penalized at lambda.
+gs::BlockCSR penalized(const gf::System& base, const gm::HexMesh& m, double lambda) {
+  gs::BlockCSR a = base.a;
+  gc::add_penalty(a, m.contact_groups, lambda);
+  return a;
+}
+
+/// z = M^-1 r for a fixed r, applied at team 1 (the applies are
+/// team-invariant on their own; this isolates the set-up).
+std::vector<double> apply_once(const gp::Preconditioner& p, std::size_t ndof) {
+  geofem::par::TeamScope one(1);
+  std::vector<double> r(ndof), z(ndof);
+  for (std::size_t k = 0; k < ndof; ++k) r[k] = std::sin(static_cast<double>(k) + 1.0);
+  p.apply(r, z, nullptr, nullptr);
+  return z;
+}
+
+// The PDJDS plan's cold layout, then refill + factor + pack at two penalty
+// values, and the natural-ordering SB-BIC(0) factors at the same two
+// matrices: every value, factor, pack and apply is the same at teams 1-4.
+TEST(Setup, NumericFactorsBitIdenticalAcrossTeams) {
+  const gm::HexMesh mesh = swjapan(8, 6);
+  const gf::System base = gf::assemble_elasticity(mesh, {{1.0, 0.3}});
+  const auto sn = gc::build_supernodes(base.a.n, mesh.contact_groups);
+  const gs::BlockCSR a1 = penalized(base, mesh, 1e6);
+  const gs::BlockCSR a2 = penalized(base, mesh, 1e10);
+  for (const auto ordering : {geofem::plan::OrderingKind::kPDJDSMC,
+                              geofem::plan::OrderingKind::kNatural}) {
+    Bits want;
+    for (int team : kTeams) {
+      geofem::par::TeamScope scope(team);
+      geofem::plan::PlanConfig cfg;
+      cfg.precond = geofem::plan::PrecondKind::kSBBIC0;
+      cfg.ordering = ordering;
+      const geofem::plan::SolvePlan plan(a1, sn, cfg);
+      Bits got;
+      if (plan.djds()) add_djds(got, *plan.djds());
+      for (const gs::BlockCSR* a : {&a1, &a2}) {
+        const auto prec = plan.numeric(*a);
+        if (const auto* dj = plan.djds()) {
+          const auto& djbic = dynamic_cast<const gp::DJDSBIC&>(*prec);
+          add_djds(got, *dj);
+          add_factors(got, djbic.unit_factors());
+          for (const auto& pk : djbic.singleton_packs()) {
+            got.add(pk.coef.data(), pk.coef.size());
+            got.add(pk.start);
+            got.add(pk.cnt);
+          }
+        } else {
+          add_factors(got, gp::sb_factor_numeric(*a, *gp::sbbic0_symbolic(*a, sn)->sb));
+        }
+        const auto z = apply_once(*prec, a->ndof());
+        got.add(z.data(), z.size());
+      }
+      const std::string cfg_name = std::string(plan.djds() ? "pdjds" : "natural") +
+                                   " team=" + std::to_string(team);
+      if (team == kTeams[0]) {
+        want = std::move(got);
+        EXPECT_FALSE(want.d.empty()) << cfg_name;
+        continue;
+      }
+      EXPECT_TRUE(same_bits(got.d, want.d)) << cfg_name;
+      EXPECT_TRUE(same_bits(got.i, want.i)) << cfg_name;
+    }
+  }
+}
+
+/// Singleton supernodes of `sn`, the first and the last `count` of them.
+std::vector<int> singleton_nodes(const gc::Supernodes& sn, std::size_t count) {
+  std::vector<int> all;
+  for (const auto& mem : sn.members)
+    if (mem.size() == 1) all.push_back(mem[0]);
+  std::vector<int> out(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count));
+  out.insert(out.end(), all.end() - static_cast<std::ptrdiff_t>(count), all.end());
+  return out;
+}
+
+// A selective block that is not SPD takes the A_SS fallback (the corrected
+// block fails the SPD check); its factor is the same at every team.
+TEST(Setup, NonSPDBlockFallbackBitIdenticalAcrossTeams) {
+  const gm::HexMesh mesh = swjapan(8, 6);
+  const gf::System base = gf::assemble_elasticity(mesh, {{1.0, 0.3}});
+  const auto sn = gc::build_supernodes(base.a.n, mesh.contact_groups);
+  gs::BlockCSR a = penalized(base, mesh, 1e6);
+  for (int node : singleton_nodes(sn, 3)) {
+    double* d = a.block(a.diag_entry(node));
+    d[0] = -d[0];  // indefinite, still nonsingular
+    ASSERT_FALSE(gs::is_spd(d, gs::kB)) << "node " << node;
+  }
+  const auto sym = gp::sb_symbolic(a, sn);
+  Bits want;
+  for (int team : kTeams) {
+    geofem::par::TeamScope scope(team);
+    Bits got;
+    add_factors(got, gp::sb_factor_numeric(a, *sym));
+    if (team == kTeams[0]) {
+      want = std::move(got);
+      continue;
+    }
+    EXPECT_TRUE(same_bits(got.d, want.d)) << "team=" << team;
+    EXPECT_TRUE(same_bits(got.i, want.i)) << "team=" << team;
+  }
+}
+
+// Singular selective blocks at both ends of the elimination order: every
+// team raises the serial loop's typed error, out of the parallel region,
+// on the natural schedule and on the PDJDS plan's numeric.
+TEST(Setup, SingularBlockRaisesTypedErrorAtEveryTeam) {
+  const gm::HexMesh mesh = swjapan(8, 6);
+  const gf::System base = gf::assemble_elasticity(mesh, {{1.0, 0.3}});
+  const auto sn = gc::build_supernodes(base.a.n, mesh.contact_groups);
+  const gs::BlockCSR good = penalized(base, mesh, 1e6);
+  gs::BlockCSR a = good;
+  for (int node : singleton_nodes(sn, 2)) {
+    double* d = a.block(a.diag_entry(node));
+    std::fill(d, d + gs::kBB, 0.0);
+  }
+  const auto sym = gp::sb_symbolic(a, sn);
+  geofem::plan::PlanConfig cfg;
+  cfg.precond = geofem::plan::PrecondKind::kSBBIC0;
+  cfg.ordering = geofem::plan::OrderingKind::kPDJDSMC;
+  auto error_of = [](auto&& f) -> std::pair<geofem::StatusCode, std::string> {
+    try {
+      f();
+    } catch (const geofem::Error& e) {
+      return {e.code(), e.what()};
+    }
+    return {geofem::StatusCode::kOk, "no error"};
+  };
+  std::pair<geofem::StatusCode, std::string> want;
+  for (int team : kTeams) {
+    geofem::par::TeamScope scope(team);
+    const auto natural = error_of([&] { (void)gp::sb_factor_numeric(a, *sym); });
+    const geofem::plan::SolvePlan plan(good, sn, cfg);
+    const auto pdjds = error_of([&] { (void)plan.numeric(a); });
+    EXPECT_EQ(natural.first, geofem::StatusCode::kFactorizationFailed) << "team=" << team;
+    EXPECT_EQ(pdjds, natural) << "team=" << team;
+    if (team == kTeams[0]) want = natural;
+    EXPECT_EQ(natural, want) << "team=" << team;
+  }
 }
 
 TEST(Setup, BuilderRefusesUseAfterTake) {
